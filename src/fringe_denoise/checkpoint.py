@@ -112,7 +112,13 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     if len(buf) < 12 + hlen:
         raise TruncatedError(f"{path}: JSON header is truncated")
     header = json.loads(buf[12 : 12 + hlen].decode("ascii"))
-    net_config = NetworkConfig(**header["network"])
+    for key in ("network", "tensors", "epoch", "seed", "train_digest"):
+        if key not in header:
+            raise CheckpointError(f"{path}: header has no {key!r} entry")
+    try:
+        net_config = NetworkConfig(**header["network"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad network architecture in header: {exc}") from exc
     if expect is not None and net_config != expect:
         raise ArchitectureMismatchError(
             f"{path}: checkpoint architecture {header['network']} does not match "
@@ -121,6 +127,8 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     payload = buf[12 + hlen :]
     stored: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
+        if not {"name", "shape", "offset"} <= entry.keys():
+            raise CheckpointError(f"{path}: tensor directory entry {entry} is incomplete")
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
@@ -145,9 +153,13 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     adam = None
     if header.get("adam_t") is not None:
         adam = AdamState(t=header["adam_t"])
-        for name, arr in iter_tensors(params, trainable_only=True):
-            adam.m[name] = stored[f"adam.m.{name}"].copy()
-            adam.v[name] = stored[f"adam.v.{name}"].copy()
+        for name, _ in iter_tensors(params, trainable_only=True):
+            for moments, key in ((adam.m, f"adam.m.{name}"), (adam.v, f"adam.v.{name}")):
+                if key not in stored:
+                    raise CheckpointError(
+                        f"{path}: header sets adam_t but tensor {key} is missing"
+                    )
+                moments[name] = stored[key].copy()
     meta = {
         "epoch": header["epoch"],
         "seed": header["seed"],

@@ -195,6 +195,11 @@ class PackedDataset:
         self.stride = header["stride"]
         self.provenance = [PatchRef(*entry) for entry in header["provenance"]]
         self._count = header["count"]
+        if self._count != len(self.provenance):
+            raise DatasetError(
+                f"{path}: header count {self._count} disagrees with "
+                f"{len(self.provenance)} provenance records"
+            )
         self._payload_start = 12 + hlen
         self._blob_bytes = FPD1_HEADER_BYTES + 4 * self.patch_size * self.patch_size
         expected = self._payload_start + self._count * 2 * self._blob_bytes

@@ -119,10 +119,17 @@ def decode_fpd1(buf: bytes) -> np.ndarray:
 
 
 def read_image(path) -> np.ndarray:
-    """Load a PGM or float image, dispatching on content magic."""
+    """Load a PGM or float image, dispatching on content magic.
+
+    A float image with a NaN or infinite pixel is rejected, so that no
+    command computes on it or writes non-finite output.
+    """
     buf = Path(path).read_bytes()
     if buf[:4] == FPD1_MAGIC:
-        return decode_fpd1(buf).astype(np.float64)
+        img = decode_fpd1(buf)
+        if not np.isfinite(img).all():
+            raise ImageFormatError(f"{path}: float image has non-finite pixels")
+        return img.astype(np.float64)
     if buf[:2] == b"P5":
         return decode_pgm(buf)
     raise BadMagicError(f"{path}: unrecognized image magic {buf[:4]!r}")

@@ -1,11 +1,17 @@
 """Dense-tensor layer kernels with hand-derived forward and backward passes.
 
-All operations work on 4-D arrays laid out as (batch, channels, height,
-width).  Convolutions are stride-1 with zero same-padding, so spatial
-dimensions are preserved through every layer.  The convolution is computed
-by materializing patch columns and running one batched GEMM per call; a
-``Workspace`` can be supplied to reuse the scratch buffers across calls,
-which matters in training loops.
+All operations take and return 4-D arrays laid out as (batch, channels,
+height, width).  Convolutions are stride-1 with zero same-padding, so
+spatial dimensions are preserved through every layer.
+
+A convolution copies its input once, zero-padded and channels-last, into
+an (N*Hp*Wp, C) row matrix.  Filter tap (u, v) then reads the contiguous
+row slice that starts u*Wp + v rows later, so the output on the padded grid
+is a sum of k*k GEMMs over shifted views of one buffer, cropped at the end.
+This is the low-memory GEMM convolution of Anderson et al.
+(arXiv:1709.03395); unlike im2col it never copies the input k*k times.
+The weight gradient and the adjoint (input-gradient) convolution reuse the
+same shifted slices.
 """
 
 from __future__ import annotations
@@ -80,48 +86,68 @@ class BatchNormParams:
         return self.gamma.shape[0]
 
 
-class Workspace:
-    """Reusable scratch buffers, keyed by (tag, shape, dtype).
-
-    Results never depend on whether a workspace is supplied; it only avoids
-    reallocating the im2col buffers on every convolution call.
-    """
-
-    def __init__(self) -> None:
-        self._bufs: dict = {}
-
-    def get(self, tag: str, shape: tuple, dtype) -> np.ndarray:
-        key = (tag, shape, np.dtype(dtype))
-        buf = self._bufs.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._bufs[key] = buf
-        return buf
-
-
 def _finite_check(arr: np.ndarray, op: str) -> None:
     if DEBUG_CHECKS and not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"{op} produced non-finite values")
 
 
-def _im2col(x: np.ndarray, k: int, ws: Workspace | None) -> np.ndarray:
-    """Column buffer of shape (N, C*k*k, H*W) for a same-padded k x k window."""
+def _padded_rows(x: np.ndarray, p: int, dtype) -> np.ndarray:
+    """Zero-pad (N, C, H, W) by ``p`` on every side into channels-last rows.
+
+    Row ``(b*Hp + y)*Wp + x`` of the (N*Hp*Wp, C) result holds the channels
+    of padded pixel (y, x) of sample b, where Hp = H + 2p and Wp = W + 2p.
+    """
     n, c, h, w = x.shape
-    p = k // 2
-    ws = ws or Workspace()
-    xp = ws.get("pad", (n, c, h + 2 * p, w + 2 * p), x.dtype)
-    xp[:] = 0
-    xp[:, :, p : p + h, p : p + w] = x
-    cols = ws.get("cols", (n, c, k, k, h, w), x.dtype)
-    for u in range(k):
-        for v in range(k):
-            cols[:, :, u, v] = xp[:, :, u : u + h, v : v + w]
-    return cols.reshape(n, c * k * k, h * w)
+    rows = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dtype)
+    rows[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
+    return rows.reshape(-1, c)
 
 
-def conv2d_forward(
-    x: np.ndarray, params: ConvParams, workspace: Workspace | None = None
+def _tap_geometry(n: int, h: int, w: int, k: int) -> tuple[int, list[int]]:
+    """Output-grid row count R and the row offset of each tap (u, v).
+
+    Output row r sits at padded pixel (y, x) and tap (u, v) reads input row
+    r + u*Wp + v.  R stops where the last tap would leave the buffer, which
+    is just past the last in-image output pixel.
+    """
+    wp = w + k - 1
+    r = n * (h + k - 1) * wp - (k - 1) * (wp + 1)
+    return r, [u * wp + v for u in range(k) for v in range(k)]
+
+
+def _stacked_taps(flat: np.ndarray, shifts: list[int], r: int) -> np.ndarray:
+    """The (k*k, R) matrix of a one-channel input's shifted row slices."""
+    cols = np.empty((len(shifts), r), dtype=flat.dtype)
+    for t, s in enumerate(shifts):
+        cols[t] = flat[s : s + r]
+    return cols
+
+
+def _shifted_conv(
+    rows: np.ndarray, taps: np.ndarray, n: int, h: int, w: int
 ) -> np.ndarray:
+    """Bias-free same-padded convolution of padded rows with (k, k, C, M) taps.
+
+    Returns an (N, M, H, W) view of the cropped output.  A one-channel input
+    folds its k*k taps into a single GEMM; otherwise each tap adds one GEMM
+    over a shifted slice of ``rows``.
+    """
+    k, _, c, m = taps.shape
+    taps = taps.reshape(k * k, c, m)
+    r, shifts = _tap_geometry(n, h, w, k)
+    out = np.empty((n * (h + k - 1) * (w + k - 1), m), dtype=rows.dtype)
+    if c == 1:
+        np.matmul(_stacked_taps(rows[:, 0], shifts, r).T, taps[:, 0], out=out[:r])
+    else:
+        np.matmul(rows[:r], taps[0], out=out[:r])
+        product = np.empty((r, m), dtype=rows.dtype)
+        for s, tap in zip(shifts[1:], taps[1:]):
+            np.matmul(rows[s : s + r], tap, out=product)
+            out[:r] += product
+    return out.reshape(n, h + k - 1, w + k - 1, m)[:, :h, :w].transpose(0, 3, 1, 2)
+
+
+def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Stride-1 convolution with zero same-padding.
 
     out[b,m,y,x] = bias[m] + sum_{c,u,v} w[m,c,u,v] * x_padded[b,c,y+u,x+v]
@@ -134,13 +160,10 @@ def conv2d_forward(
             f"{params.in_channels} (input {x.shape}, weights {params.weights.shape})"
         )
     n, _, h, w = x.shape
-    m = params.out_channels
-    k = params.kernel
-    cols = _im2col(x, k, workspace)
-    w2 = params.weights.reshape(m, -1)
-    out = np.matmul(w2, cols)  # (N, M, H*W)
-    out = out.reshape(n, m, h, w)
-    out += params.bias.astype(x.dtype)[None, :, None, None]
+    dtype = np.result_type(x, params.weights)
+    taps = params.weights.transpose(2, 3, 1, 0).astype(dtype)
+    out = _shifted_conv(_padded_rows(x, params.kernel // 2, dtype), taps, n, h, w)
+    out = np.add(out, params.bias.astype(dtype)[None, :, None, None], order="C")
     _finite_check(out, "conv2d_forward")
     return out
 
@@ -149,28 +172,42 @@ def conv2d_backward(
     x: np.ndarray,
     params: ConvParams,
     grad_out: np.ndarray,
-    workspace: Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    need_input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Exact gradients of ``conv2d_forward``.
 
-    The input gradient is the adjoint map: a same-padded convolution of
-    ``grad_out`` with the filter bank rotated 180 degrees and transposed in
-    its channel axes.
+    The weight gradient of tap (u, v) is the shifted input slice transposed
+    times ``grad_out`` on the output grid.  The input gradient is the adjoint
+    map: the same shifted-slice convolution of ``grad_out`` with the filter
+    bank rotated 180 degrees and transposed in its channel axes.  With
+    ``need_input_grad`` false it is skipped and returned as ``None``.
     """
     n, c, h, w = x.shape
     m = params.out_channels
     k = params.kernel
+    p = k // 2
     if grad_out.shape != (n, m, h, w):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match output ({n},{m},{h},{w})"
         )
     grad_bias = grad_out.sum(axis=(0, 2, 3))
-    cols = _im2col(x, k, workspace)
-    g2 = grad_out.reshape(n, m, h * w)
-    grad_w = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(m, c, k, k)
-    rot = np.ascontiguousarray(params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    adjoint = ConvParams(weights=rot, bias=np.zeros(c, dtype=x.dtype))
-    grad_x = conv2d_forward(grad_out, adjoint, workspace)
+    dtype = np.result_type(x, params.weights, grad_out)
+    rows = _padded_rows(x, p, dtype)
+    grad_rows = _padded_rows(grad_out, p, dtype)
+    r, shifts = _tap_geometry(n, h, w, k)
+    # Centred padding puts output row r at grad row r + p*Wp + p; rows off
+    # the image land in the zero border.
+    start = p * (w + 2 * p) + p
+    g = grad_rows[start : start + r]
+    if c == 1:
+        grad_taps = _stacked_taps(rows[:, 0], shifts, r) @ g
+    else:
+        grad_taps = np.stack([rows[s : s + r].T @ g for s in shifts])
+    grad_w = np.ascontiguousarray(grad_taps.reshape(k, k, c, m).transpose(3, 2, 0, 1))
+    grad_x = None
+    if need_input_grad:
+        adjoint = params.weights[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).astype(dtype)
+        grad_x = np.ascontiguousarray(_shifted_conv(grad_rows, adjoint, n, h, w))
     return grad_x, grad_w, grad_bias
 
 
@@ -178,7 +215,9 @@ def leaky_relu_forward(x: np.ndarray, alpha: float) -> np.ndarray:
     """h = max(z, 0) + alpha * min(z, 0), elementwise."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    out = np.where(x > 0, x, np.asarray(alpha, dtype=x.dtype) * x)
+    # max(x, alpha*x) equals the two-branch formula for alpha in [0, 1];
+    # fmax keeps x = +inf at alpha = 0, where alpha*x is NaN.
+    out = np.fmax(x, x.dtype.type(alpha) * x)
     _finite_check(out, "leaky_relu_forward")
     return out
 

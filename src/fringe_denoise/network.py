@@ -22,7 +22,6 @@ from .layers import (
     BatchNormParams,
     ConvParams,
     ShapeError,
-    Workspace,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
@@ -150,7 +149,6 @@ def network_forward(
     params: NetworkParams,
     config: NetworkConfig,
     mode: str = INFER,
-    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, list | None]:
     """Run all stages on a single-channel batch; returns the noise estimate.
 
@@ -159,14 +157,13 @@ def network_forward(
     """
     if z.ndim != 4 or z.shape[1] != 1:
         raise ShapeError(f"network input must be (N,1,H,W), got {z.shape}")
-    ws = workspace or Workspace()
     caches: list | None = [] if mode == TRAIN else None
     x = z
     for stage in params.layers:
         stage_in = x
         for layer in stage:
             conv_in = x
-            pre = conv2d_forward(x, layer.conv, ws)
+            pre = conv2d_forward(x, layer.conv)
             bn_cache = None
             if layer.bn is not None:
                 pre, bn_cache = batchnorm_forward(pre, layer.bn, mode)
@@ -192,7 +189,6 @@ def network_backward(
     grad_v: np.ndarray,
     params: NetworkParams,
     config: NetworkConfig,
-    workspace: Workspace | None = None,
 ) -> dict[str, np.ndarray]:
     """Chain gradients of the noise estimate back through every stage.
 
@@ -204,7 +200,6 @@ def network_backward(
         raise ValueError("network_backward requires caches from a TRAIN-mode forward")
     if config.stage_wiring != NOISE_CHAIN:
         raise NotImplementedError("backward pass supports noise_chain wiring only")
-    ws = workspace or Workspace()
     grads: dict[str, np.ndarray] = {}
     flat_layers = [
         (s, d, layer)
@@ -220,7 +215,10 @@ def network_backward(
             g, g_gamma, g_beta = batchnorm_backward(bn_cache, g)
             grads[f"s{s:02d}.l{d:02d}.bn.gamma"] = g_gamma
             grads[f"s{s:02d}.l{d:02d}.bn.beta"] = g_beta
-        g, g_w, g_b = conv2d_backward(conv_in, layer.conv, g, ws)
+        # The network input needs no gradient, so the very first conv
+        # skips its adjoint convolution.
+        first = s == 0 and d == 0
+        g, g_w, g_b = conv2d_backward(conv_in, layer.conv, g, need_input_grad=not first)
         grads[f"s{s:02d}.l{d:02d}.conv.weights"] = g_w
         grads[f"s{s:02d}.l{d:02d}.conv.bias"] = g_b
     return grads
@@ -230,12 +228,13 @@ def denoise(
     image: np.ndarray,
     params: NetworkParams,
     config: NetworkConfig,
-    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Subtract the estimated noise from a single 2-D image (inference mode).
 
     The input is expected in the intensity range the model was trained on;
-    no clamping is applied here so the float result is exact.
+    no clamping is applied here so the float result is exact.  The network
+    runs in its weights' dtype, as in training; the estimate is subtracted
+    in the image's own precision.
     """
     img = np.asarray(image)
     if img.ndim != 2:
@@ -244,6 +243,6 @@ def denoise(
         raise ShapeError(
             f"image {img.shape} is smaller than the {config.kernel}x{config.kernel} kernel"
         )
-    z = img[None, None, :, :]
-    v, _ = network_forward(z, params, config, mode=INFER, workspace=workspace)
-    return (z - v)[0, 0]
+    dtype = params.layers[0][0].conv.weights.dtype
+    v, _ = network_forward(img.astype(dtype, copy=False)[None, None], params, config, mode=INFER)
+    return img - v[0, 0]

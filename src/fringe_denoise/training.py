@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .layers import TRAIN, INFER, ShapeError, Workspace
+from .layers import TRAIN, INFER, ShapeError
 from .network import (
     NetworkConfig,
     NetworkParams,
@@ -171,16 +171,14 @@ def evaluate_patches(
     params: NetworkParams,
     net_config: NetworkConfig,
     batch_size: int,
-    workspace: Workspace | None = None,
 ) -> tuple[float, float, float]:
     """Mean PSNR/SSIM/MAE of denoised held-out patches against their clean
     counterparts (inference mode)."""
     scores: list[tuple[float, float, float]] = []
-    ws = workspace or Workspace()
     for start in range(0, len(indices), batch_size):
         chunk = indices[start : start + batch_size]
         x, z = _stack_batch(dataset, chunk)
-        v, _ = network_forward(z, params, net_config, mode=INFER, workspace=ws)
+        v, _ = network_forward(z, params, net_config, mode=INFER)
         denoised = z - v
         for b in range(x.shape[0]):
             d = denoised[b, 0].astype(np.float64)
@@ -234,7 +232,6 @@ def train(
             f"train split of {len(train_idx)} patches is smaller than one batch"
         )
 
-    ws = Workspace()
     log: list[dict] = []
     ckpt_dir = Path(train_config.checkpoint_dir) if train_config.checkpoint_dir else None
     if ckpt_dir:
@@ -247,16 +244,16 @@ def train(
         for b in range(q):
             batch = order[b * train_config.batch_size : (b + 1) * train_config.batch_size]
             x, z = _stack_batch(dataset, batch)
-            v, caches = network_forward(z, params, net_config, mode=TRAIN, workspace=ws)
+            v, caches = network_forward(z, params, net_config, mode=TRAIN)
             loss, grad_v = euclid_loss(v, z, x)
-            grads = network_backward(caches, grad_v, params, net_config, workspace=ws)
+            grads = network_backward(caches, grad_v, params, net_config)
             adam_step(params, grads, adam, train_config)
             losses[b] = loss
         row: dict = {"epoch": epoch, "mean_loss": float(losses.mean())}
         is_eval = train_config.eval_every > 0 and epoch % train_config.eval_every == 0
         if is_eval and len(eval_idx):
             p, s, m = evaluate_patches(
-                dataset, eval_idx, params, net_config, train_config.batch_size, ws
+                dataset, eval_idx, params, net_config, train_config.batch_size
             )
             row.update(psnr=p, ssim=s, mae=m)
         row["seconds"] = time.perf_counter() - t0

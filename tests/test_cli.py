@@ -5,8 +5,14 @@ import numpy as np
 
 from fringe_denoise.checkpoint import save_checkpoint
 from fringe_denoise.cli import cli_dispatch
-from fringe_denoise.image_io import read_image, write_image
-from fringe_denoise.network import NetworkConfig, build_network, iter_tensors
+from fringe_denoise.image_io import decode_fpd1, encode_fpd1, read_image, write_image
+from fringe_denoise.network import (
+    NetworkConfig,
+    build_network,
+    denoise,
+    iter_tensors,
+    network_forward,
+)
 from fringe_denoise.training import TrainConfig
 
 TINY_NET = {"stages": 1, "layers_per_stage": 3, "filters": 2, "kernel": 3}
@@ -80,6 +86,24 @@ class TestDenoiseCommand:
         )
         assert rc == 0
         assert (tmp_path / "out.fpd1").read_bytes() == (tmp_path / "in.fpd1").read_bytes()
+
+    def test_output_equals_in_process_float32_denoise(self, tmp_path):
+        cfg = NetworkConfig(**TINY_NET)
+        params = build_network(cfg, np.random.default_rng(7))
+        model = tmp_path / "net.fpdc"
+        save_checkpoint(model, params, cfg, TrainConfig(seed=0), epoch=0)
+        write_image(np.random.default_rng(8).uniform(0, 255, (20, 26)), tmp_path / "in.fpd1")
+        rc = cli_dispatch(
+            ["denoise", "--model", str(model),
+             "--in", str(tmp_path / "in.fpd1"), "--out", str(tmp_path / "out.fpd1")]
+        )
+        assert rc == 0
+        out = decode_fpd1((tmp_path / "out.fpd1").read_bytes())
+        img = read_image(tmp_path / "in.fpd1")
+        np.testing.assert_array_equal(out, denoise(img, params, cfg).astype(np.float32))
+        # The network ran on the float32 image, like in training.
+        v, _ = network_forward(img.astype(np.float32)[None, None], params, cfg)
+        np.testing.assert_array_equal(out, (img - v[0, 0]).astype(np.float32))
 
     def test_pgm_identity_through_pipeline(self, tmp_path):
         model = zero_model(tmp_path)
@@ -227,3 +251,22 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "filtres" in capsys.readouterr().err
+
+    def test_non_finite_image_is_data_error(self, tmp_path, capsys):
+        model = zero_model(tmp_path)
+        img = np.random.default_rng(3).uniform(0, 255, (20, 20)).astype(np.float32)
+        img[4, 5] = np.nan
+        bad = tmp_path / "nan.fpd1"
+        bad.write_bytes(encode_fpd1(img))
+        write_image(np.zeros((20, 20)), tmp_path / "ok.fpd1")
+        commands = [
+            ["denoise", "--model", str(model), "--in", str(bad),
+             "--out", str(tmp_path / "out.fpd1")],
+            ["metrics", "--ref", str(tmp_path / "ok.fpd1"), "--test", str(bad)],
+            ["skeletonize", "--in", str(bad), "--out", str(tmp_path / "skel.pgm")],
+        ]
+        for argv in commands:
+            assert cli_dispatch(argv) == 2, argv[0]
+            assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.fpd1").exists()
+        assert not (tmp_path / "skel.pgm").exists()

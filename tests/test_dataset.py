@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -122,6 +124,20 @@ class TestPacked:
         blob = path.read_bytes()
         path.write_bytes(blob[:-100])
         with pytest.raises(DatasetError, match="truncated"):
+            PackedDataset(path)
+
+    def test_count_disagreeing_with_provenance_rejected(self, tmp_path):
+        ds = build_dataset(make_corpus(1, 96), patch_size=80, stride=16)
+        path = tmp_path / "patches.bin"
+        write_packed(path, ds)
+        blob = path.read_bytes()
+        hlen = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
+        header = json.loads(blob[12 : 12 + hlen])
+        assert header["count"] == 4
+        header["count"] = 2
+        text = json.dumps(header).encode("ascii")
+        path.write_bytes(blob[:8] + np.uint32(len(text)).tobytes() + text + blob[12 + hlen :])
+        with pytest.raises(DatasetError, match="provenance"):
             PackedDataset(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -124,6 +124,83 @@ class TestConvBackward:
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-10
 
 
+# (n, c, m, k, h, w): one-channel input or output, kernel sizes 1, 3 and 5,
+# non-square images and images narrower or shorter than the kernel.
+CONV_CASES = [
+    (2, 1, 3, 3, 5, 7),
+    (2, 3, 1, 3, 6, 4),
+    (1, 1, 1, 5, 4, 6),
+    (2, 2, 3, 1, 3, 5),
+    (2, 3, 2, 5, 7, 3),
+    (1, 2, 2, 5, 2, 2),
+    (3, 4, 5, 3, 1, 6),
+]
+# Largest relative error accepted against a float64 oracle, per dtype.
+CONV_TOL = {np.float32: 1e-5, np.float64: 1e-10}
+
+
+def conv_case(case, dtype, seed):
+    n, c, m, k, h, w = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    p = make_conv(rng, m, c, k, dtype)
+    r = rng.standard_normal((n, m, h, w)).astype(dtype)
+    return x, p, r
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", CONV_CASES)
+class TestConvShapeMatrix:
+    def test_forward_matches_naive_loop_oracle(self, case, dtype):
+        x, p, _ = conv_case(case, dtype, 300)
+        out = conv2d_forward(x, p)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        ref = naive_conv2d(x.astype(np.float64), p.weights.astype(np.float64), p.bias)
+        assert rel_err(out, ref) < CONV_TOL[dtype]
+
+    def test_gradients_match_finite_differences(self, case, dtype):
+        x, p, r = conv_case(case, dtype, 301)
+        gx, gw, gb = conv2d_backward(x, p, r)
+        assert gx.dtype == gw.dtype == gb.dtype == dtype
+        # Central differences of the float64 map at the same point.
+        x64, r64 = x.astype(np.float64), r.astype(np.float64)
+        p64 = ConvParams(p.weights.astype(np.float64), p.bias.astype(np.float64))
+        fd_x = finite_diff_grad(lambda a: float(np.vdot(conv2d_forward(a, p64), r64)), x64)
+        assert rel_err(gx, fd_x) < CONV_TOL[dtype] + 1e-6
+
+        def loss_w(wa):
+            return float(np.vdot(conv2d_forward(x64, ConvParams(wa, p64.bias)), r64))
+
+        fd_w = finite_diff_grad(loss_w, p64.weights.copy())
+        assert rel_err(gw, fd_w) < CONV_TOL[dtype] + 1e-6
+        assert rel_err(gb, r64.sum(axis=(0, 2, 3))) < CONV_TOL[dtype]
+
+    def test_adjoint_dot_product_identity(self, case, dtype):
+        x, p, y = conv_case(case, dtype, 302)
+        p.bias[:] = 0
+        gx, _, _ = conv2d_backward(x, p, y)
+        lhs = float(np.vdot(conv2d_forward(x, p).astype(np.float64), y.astype(np.float64)))
+        rhs = float(np.vdot(x.astype(np.float64), gx.astype(np.float64)))
+        assert abs(lhs - rhs) <= CONV_TOL[dtype] * np.linalg.norm(x) * np.linalg.norm(gx)
+
+    def test_skipping_input_grad_keeps_weight_grads(self, case, dtype):
+        x, p, r = conv_case(case, dtype, 303)
+        _, gw, gb = conv2d_backward(x, p, r)
+        skipped = conv2d_backward(x, p, r, need_input_grad=False)
+        assert skipped[0] is None
+        np.testing.assert_array_equal(skipped[1], gw)
+        np.testing.assert_array_equal(skipped[2], gb)
+
+
+def test_float64_input_promotes_float32_filters():
+    """Inference on float64 data with float32 weights computes in float64."""
+    x, p, _ = conv_case((2, 3, 4, 5, 6, 7), np.float64, 304)
+    p32 = ConvParams(weights=p.weights.astype(np.float32), bias=p.bias.astype(np.float32))
+    out = conv2d_forward(x, p32)
+    assert out.dtype == np.float64
+    assert rel_err(out, naive_conv2d(x, p32.weights.astype(np.float64), p32.bias)) < 1e-12
+
+
 class TestLeakyRelu:
     def test_negative_halved(self):
         assert leaky_relu_forward(np.array([[[[-2.0]]]]), 0.5) == -1.0
@@ -157,6 +234,27 @@ class TestLeakyRelu:
             lambda a: float(np.vdot(leaky_relu_forward(a, alpha), r)), x
         )
         assert rel_err(g, fd) < 1e-8
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 1.0])
+    def test_bitwise_equal_to_two_branch_formula(self, alpha, dtype):
+        """max(x, alpha*x) against where(x > 0, x, alpha*x), bit for bit,
+        on finite values including signed zeros and, for alpha > 0, on
+        NaN and both infinities.  At alpha = 0 the +inf case is pinned too:
+        it stays +inf even though 0 * inf is NaN."""
+        info = np.finfo(dtype)
+        x = np.concatenate([
+            np.random.default_rng(5).standard_normal(64) * 100,
+            [0.0, -0.0, info.tiny, -info.tiny, info.smallest_subnormal,
+             -info.smallest_subnormal, info.max, -info.max, 1.0, -1.0],
+            [np.nan, np.inf, -np.inf] if alpha > 0 else [np.nan, np.inf],
+        ]).astype(dtype).reshape(1, 1, 1, -1)
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            expect = np.where(x > 0, x, np.asarray(alpha, dtype=dtype) * x)
+            out = leaky_relu_forward(x, alpha)
+        assert out.dtype == dtype
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        np.testing.assert_array_equal(out.view(bits), expect.view(bits))
 
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ValueError):

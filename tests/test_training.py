@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from fringe_denoise.checkpoint import (
     ArchitectureMismatchError,
     BadMagicError,
+    CheckpointError,
     TruncatedError,
     VersionError,
     load_checkpoint,
@@ -228,6 +232,35 @@ class TestCheckpoint:
         truncated.write_bytes(blob[: len(blob) - 40])
         with pytest.raises(TruncatedError):
             load_checkpoint(truncated)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.update(adam_t=3),  # optimizer step without its moments
+            lambda h: h.pop("epoch"),
+            lambda h: h.pop("network"),
+            lambda h: h["tensors"][0].pop("offset"),
+            lambda h: h["network"].update(filtres=3),
+            lambda h: h["network"].update(stages=0),
+        ],
+        ids=[
+            "adam_t-without-moments", "no-epoch", "no-network", "entry-without-offset",
+            "unknown-network-key", "invalid-network-value",
+        ],
+    )
+    def test_malformed_header_is_checkpoint_error(self, tmp_path, edit):
+        cfg = NetworkConfig(stages=1, layers_per_stage=3, filters=2, kernel=3)
+        params = build_network(cfg, np.random.default_rng(6))
+        path = tmp_path / "net.fpdc"
+        save_checkpoint(path, params, cfg, TrainConfig(seed=0), epoch=1)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + hlen])
+        edit(header)
+        text = json.dumps(header).encode("ascii")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen :])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
     def test_resume_equals_uninterrupted(self, tmp_path):
         ds = toy_dataset(n_images=6, seed=11)
