@@ -46,9 +46,15 @@ class ArchitectureMismatchError(CheckpointError):
     pass
 
 
-def _config_digest(train_config) -> str:
+def config_digest(train_config) -> str:
+    """Digest of the hyperparameters a resumed run must share.
+
+    Artifact paths are left out, and so is ``epochs``: a resume may extend
+    the schedule.
+    """
     fields = dataclasses.asdict(train_config)
-    fields.pop("checkpoint_dir", None)  # hyperparameters only, not artifact paths
+    fields.pop("checkpoint_dir", None)
+    fields.pop("epochs", None)
     blob = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
@@ -74,7 +80,7 @@ def save_checkpoint(
     header = {
         "format_version": VERSION,
         "network": dataclasses.asdict(net_config),
-        "train_digest": _config_digest(train_config) if train_config is not None else None,
+        "train_digest": config_digest(train_config) if train_config is not None else None,
         "epoch": epoch,
         "seed": getattr(train_config, "seed", None),
         "adam_t": adam.t if adam is not None else None,

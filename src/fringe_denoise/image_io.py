@@ -67,6 +67,11 @@ def _pgm_tokens(buf: bytes, start: int):
     return buf[pos:end], end
 
 
+def _check_dims(width: int, height: int) -> None:
+    if width <= 0 or height <= 0:
+        raise ImageFormatError(f"image dimensions must be positive, got {width}x{height}")
+
+
 def decode_pgm(buf: bytes) -> np.ndarray:
     if buf[:2] != b"P5":
         raise BadMagicError(f"not a binary PGM (magic {buf[:2]!r})")
@@ -79,6 +84,7 @@ def decode_pgm(buf: bytes) -> np.ndarray:
         except ValueError as exc:
             raise ImageFormatError(f"bad PGM header token {token!r}") from exc
     width, height, maxval = fields
+    _check_dims(width, height)
     if maxval != 255:
         raise UnsupportedMaxvalError(f"only maxval 255 is supported, got {maxval}")
     pos += 1  # exactly one whitespace byte separates header and raster
@@ -110,6 +116,7 @@ def decode_fpd1(buf: bytes) -> np.ndarray:
     if len(buf) < FPD1_HEADER_BYTES:
         raise TruncatedFileError("float image header is incomplete")
     w, h = struct.unpack("<II", buf[4:12])
+    _check_dims(w, h)
     payload = buf[FPD1_HEADER_BYTES : FPD1_HEADER_BYTES + 4 * w * h]
     if len(payload) < 4 * w * h:
         raise TruncatedFileError(

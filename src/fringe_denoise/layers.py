@@ -227,7 +227,9 @@ def leaky_relu_backward(x: np.ndarray, alpha: float, grad_out: np.ndarray) -> np
     # where 0 maps to 0 under either branch.
     if x.shape != grad_out.shape:
         raise ShapeError(f"shape mismatch: input {x.shape} vs grad {grad_out.shape}")
-    slope = np.where(x >= 0, x.dtype.type(1.0), x.dtype.type(alpha))
+    # A two-entry lookup on the sign mask builds the slope far faster than
+    # np.where, and gives the same values.
+    slope = np.take(np.array([alpha, 1.0], dtype=x.dtype), (x >= 0).view(np.uint8))
     return grad_out * slope
 
 

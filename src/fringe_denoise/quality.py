@@ -47,11 +47,11 @@ def mae(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+    """Normalized 1-D Gaussian; the 2-D SSIM window is its outer product."""
     half = (size - 1) / 2.0
     x = np.arange(size, dtype=np.float64) - half
     g = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
 def ssim_mean(a: np.ndarray, b: np.ndarray, peak: float = 255.0) -> float:
@@ -61,6 +61,10 @@ def ssim_mean(a: np.ndarray, b: np.ndarray, peak: float = 255.0) -> float:
     K2=0.03 on a dynamic range of ``peak``.  No padding: windows that would
     overhang the border are excluded, which keeps fringe boundaries from
     biasing the score.  Inputs are expected on the [0, peak] scale.
+
+    The 11x11 window is the outer product of a 1-D Gaussian, so the local
+    means and second moments are computed with a separable filter: 11 taps
+    along each row, then 11 along each column.
     """
     _check_dims(a, b)
     a = np.asarray(a, dtype=np.float64)
@@ -69,14 +73,11 @@ def ssim_mean(a: np.ndarray, b: np.ndarray, peak: float = 255.0) -> float:
         raise ShapeError(
             f"image {a.shape} is smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
         )
-    w = gaussian_window()
-    win_a = np.lib.stride_tricks.sliding_window_view(a, (SSIM_WINDOW, SSIM_WINDOW))
-    win_b = np.lib.stride_tricks.sliding_window_view(b, (SSIM_WINDOW, SSIM_WINDOW))
-    mu_a = np.tensordot(win_a, w, axes=([2, 3], [0, 1]))
-    mu_b = np.tensordot(win_b, w, axes=([2, 3], [0, 1]))
-    ea2 = np.tensordot(win_a * win_a, w, axes=([2, 3], [0, 1]))
-    eb2 = np.tensordot(win_b * win_b, w, axes=([2, 3], [0, 1]))
-    eab = np.tensordot(win_a * win_b, w, axes=([2, 3], [0, 1]))
+    g = gaussian_window()
+    swv = np.lib.stride_tricks.sliding_window_view
+    maps = np.stack([a, b, a * a, b * b, a * b])
+    rows = swv(maps, SSIM_WINDOW, axis=-1) @ g
+    mu_a, mu_b, ea2, eb2, eab = swv(rows, SSIM_WINDOW, axis=-2) @ g
     var_a = ea2 - mu_a * mu_a
     var_b = eb2 - mu_b * mu_b
     cov = eab - mu_a * mu_b
@@ -138,36 +139,57 @@ def _neighbors(padded: np.ndarray) -> list[np.ndarray]:
     ]
 
 
+def _deletion_table(step: int) -> np.ndarray:
+    """Zhang-Suen deletion test for every 8-neighbour code of a set pixel.
+
+    Bit i of a code is P(i+2), in the order of ``_neighbors``.  A pixel is
+    deleted when 2 <= B(P1) <= 6, A(P1) == 1 (one 0->1 transition around
+    the ring) and the subiteration's two products vanish.
+    """
+    code = np.arange(256)
+    ring = [(code >> i) & 1 for i in range(8)]
+    p2, p4, p6, p8 = ring[0::2]
+    b = sum(ring)
+    a = sum((ring[i] == 0) & (ring[(i + 1) % 8] == 1) for i in range(8))
+    if step == 0:
+        products = (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+    else:
+        products = (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+    return ((b >= 2) & (b <= 6) & (a == 1) & products).astype(np.uint8)
+
+
+_DELETION_TABLES = (_deletion_table(0), _deletion_table(1))
+
+
 def thin(binary: np.ndarray) -> np.ndarray:
     """Zhang-Suen parallel thinning to a 1-pixel-wide, 8-connected skeleton.
 
     Both subiterations mark deletable border pixels from the same snapshot
     and remove them at once; iteration stops when a full pass changes
-    nothing.
+    nothing.  Each pixel's eight neighbours are packed into a one-byte code
+    that indexes the subiteration's deletion table.
     """
     img = np.asarray(binary)
     if not np.isin(img, (0, 1)).all():
         raise ValueError("thin expects a binary image of 0s and 1s")
-    img = img.astype(np.uint8).copy()
-    while True:
+    h, w = img.shape
+    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    inner = padded[1:-1, 1:-1]
+    inner[...] = img
+    nb = _neighbors(padded)  # views: they follow every deletion
+    code = np.empty((h, w), dtype=np.uint8)
+    shifted = np.empty((h, w), dtype=np.uint8)
+    changed = True
+    while changed:
         changed = False
-        for step in (0, 1):
-            padded = np.pad(img, 1)
-            nb = _neighbors(padded)
-            b = sum(n.astype(np.int32) for n in nb)
-            ring = np.stack(nb + [nb[0]], axis=0).astype(np.int32)
-            a = ((ring[1:] - ring[:-1]) == 1).sum(axis=0)
-            if step == 0:
-                cond3 = nb[0] * nb[2] * nb[4] == 0  # P2*P4*P6
-                cond4 = nb[2] * nb[4] * nb[6] == 0  # P4*P6*P8
-            else:
-                cond3 = nb[0] * nb[2] * nb[6] == 0  # P2*P4*P8
-                cond4 = nb[0] * nb[4] * nb[6] == 0  # P2*P6*P8
-            remove = (
-                (img == 1) & (b >= 2) & (b <= 6) & (a == 1) & cond3 & cond4
-            )
-            if remove.any():
-                img[remove] = 0
+        for table in _DELETION_TABLES:
+            np.copyto(code, nb[0])
+            for i in range(1, 8):
+                np.left_shift(nb[i], i, out=shifted)
+                code |= shifted
+            delete = np.take(table, code)
+            delete &= inner
+            if delete.any():
+                inner ^= delete
                 changed = True
-        if not changed:
-            return img
+    return inner.copy()

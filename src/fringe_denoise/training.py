@@ -70,6 +70,10 @@ class AdamState:
         return state
 
 
+class NonFiniteLossError(ValueError):
+    """A training batch gave a NaN or infinite loss."""
+
+
 def euclid_loss(
     v_pred: np.ndarray, z: np.ndarray, x: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -204,7 +208,7 @@ def train(
     intensity range as stored.  One log row is appended per epoch; on eval
     epochs it carries held-out metrics and a checkpoint is written.
     """
-    from .checkpoint import load_checkpoint, save_checkpoint
+    from .checkpoint import CheckpointError, config_digest, load_checkpoint, save_checkpoint
 
     if len(dataset) < train_config.batch_size:
         raise ValueError(
@@ -214,6 +218,15 @@ def train(
     start_epoch = 1
     if resume_from is not None:
         params, _, adam, meta = load_checkpoint(resume_from, expect=net_config)
+        if meta["seed"] != train_config.seed:
+            raise CheckpointError(
+                f"{resume_from}: checkpoint was trained with seed {meta['seed']}, "
+                f"not {train_config.seed}"
+            )
+        if meta["train_digest"] != config_digest(train_config):
+            raise CheckpointError(
+                f"{resume_from}: checkpoint was trained with other hyperparameters"
+            )
         if adam is None:
             adam = AdamState.for_params(params)
         start_epoch = meta["epoch"] + 1
@@ -246,6 +259,11 @@ def train(
             x, z = _stack_batch(dataset, batch)
             v, caches = network_forward(z, params, net_config, mode=TRAIN)
             loss, grad_v = euclid_loss(v, z, x)
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(
+                    f"epoch {epoch}, batch {b + 1}: loss is {loss}; "
+                    "training stopped before updating the weights"
+                )
             grads = network_backward(caches, grad_v, params, net_config)
             adam_step(params, grads, adam, train_config)
             losses[b] = loss

@@ -5,6 +5,7 @@ import numpy as np
 
 from fringe_denoise.checkpoint import save_checkpoint
 from fringe_denoise.cli import cli_dispatch
+from fringe_denoise.dataset import build_dataset, write_packed
 from fringe_denoise.image_io import decode_fpd1, encode_fpd1, read_image, write_image
 from fringe_denoise.network import (
     NetworkConfig,
@@ -270,3 +271,38 @@ class TestExitCodes:
             assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out.fpd1").exists()
         assert not (tmp_path / "skel.pgm").exists()
+
+    def test_train_errors_are_data_errors(self, tmp_path, capsys):
+        """A NaN batch loss and a resume under another seed both exit 2,
+        and neither writes a checkpoint."""
+        rng = np.random.default_rng(4)
+        corpus = [
+            (img, img + rng.normal(0, 20, img.shape).astype(np.float32))
+            for img in rng.uniform(0, 255, (3, 24, 24)).astype(np.float32)
+        ]
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(
+            {"seed": 5, "network": TINY_NET, "train": {"batch_size": 4, "epochs": 1}}
+        ))
+        data = tmp_path / "patches.bin"
+        write_packed(data, build_dataset(corpus, patch_size=12, stride=12))
+        assert cli_dispatch(
+            ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(tmp_path / "a")]
+        ) == 0
+        resume = ["--resume", str(tmp_path / "a" / "ckpt_epoch_0001.fpdc")]
+        rc = cli_dispatch(
+            ["train", "--data", str(data), "--config", str(cfg_path), "--seed", "6",
+             "--out", str(tmp_path / "b"), *resume]
+        )
+        assert rc == 2
+        assert "seed 5" in capsys.readouterr().err
+
+        for _, noisy in corpus:
+            noisy[0, 0] = np.nan
+        write_packed(data, build_dataset(corpus, patch_size=12, stride=12))
+        rc = cli_dispatch(
+            ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(tmp_path / "c")]
+        )
+        assert rc == 2
+        assert "loss is nan" in capsys.readouterr().err
+        assert not list((tmp_path / "c").glob("*.fpdc"))

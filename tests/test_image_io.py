@@ -1,7 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fringe_denoise.image_io import (
+    FPD1_MAGIC,
     BadMagicError,
     ImageFormatError,
     TruncatedFileError,
@@ -48,6 +53,13 @@ class TestPgm:
         with pytest.raises(TruncatedFileError):
             decode_pgm(b"P5\n4 4\n255\n\x00\x00")
 
+    @pytest.mark.parametrize("dims", ["-1 4", "4 -1", "0 0", "0 4", "4 0", "-2 -3"])
+    def test_non_positive_dimensions_rejected(self, dims):
+        # A negative size makes the raster slice short or empty, and
+        # reshape(h, -1) would infer the missing size.
+        with pytest.raises(ImageFormatError, match="positive"):
+            decode_pgm(f"P5\n{dims}\n255\n".encode("ascii") + bytes(12))
+
 
 class TestFpd1:
     def test_payload_size(self):
@@ -70,6 +82,11 @@ class TestFpd1:
         with pytest.raises(TruncatedFileError):
             decode_fpd1(b"FPD1" + np.uint32(4).tobytes() + np.uint32(4).tobytes() + b"\0" * 8)
 
+    @pytest.mark.parametrize("w,h", [(0, 0), (0, 3), (3, 0)])
+    def test_zero_dimensions_rejected(self, w, h):
+        with pytest.raises(ImageFormatError, match="positive"):
+            decode_fpd1(b"FPD1" + struct.pack("<II", w, h) + bytes(64))
+
 
 class TestDispatch:
     def test_read_dispatches_on_magic(self, tmp_path):
@@ -90,3 +107,67 @@ class TestDispatch:
     def test_unknown_extension_on_write(self, tmp_path):
         with pytest.raises(ImageFormatError):
             write_image(np.zeros((2, 2)), tmp_path / "img.png")
+
+
+def _valid_blob(data, fmt: str) -> bytes:
+    h = data.draw(st.integers(1, 6), label="height")
+    w = data.draw(st.integers(1, 6), label="width")
+    pixels = np.array(
+        data.draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w)),
+        dtype=np.float64,
+    ).reshape(h, w)
+    return encode_pgm(pixels) if fmt == "pgm" else encode_fpd1(pixels)
+
+
+def _mutate(data, blob: bytes, fmt: str):
+    """Truncate, flip bits, or rewrite the header with arbitrary integers.
+
+    Returns the bytes and what a successful decode must give: None for a
+    truncation (it must fail), the header's (height, width) for a rewritten
+    header, and "any" for bit flips.
+    """
+    kind = data.draw(st.sampled_from(["truncate", "flip", "header"]), label="mutation")
+    if kind == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1), label="length")], None
+    if kind == "flip":
+        out = bytearray(blob)
+        for pos in data.draw(
+            st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=8), label="bits"
+        ):
+            out[pos] ^= 1 << data.draw(st.integers(0, 7))
+        return bytes(out), "any"
+    raster = data.draw(st.binary(max_size=64), label="raster")
+    if fmt == "pgm":
+        # small sizes often, so that some headers fit the raster
+        w, h = (data.draw(st.integers(-8, 8) | st.integers(-(2**70), 2**70)) for _ in "wh")
+        maxval = data.draw(st.just(255) | st.integers(-(2**70), 2**70), label="maxval")
+        return f"P5\n{w} {h}\n{maxval}\n".encode("ascii") + raster, (h, w)
+    w, h = (data.draw(st.integers(0, 8) | st.integers(0, 2**32 - 1)) for _ in "wh")
+    return FPD1_MAGIC + struct.pack("<II", w, h) + raster, (h, w)
+
+
+class TestDecoderFuzz:
+    """Malformed bytes give ImageFormatError or a well-formed image, nothing else."""
+
+    @staticmethod
+    def _check(decode, source, expect) -> None:
+        try:
+            img = decode(source)
+        except ImageFormatError:
+            return
+        assert expect is not None, "a truncated image decoded"
+        assert img.ndim == 2 and min(img.shape) > 0
+        if expect != "any":
+            assert img.shape == expect
+
+    @given(st.data(), st.sampled_from(["pgm", "fpd1"]))
+    def test_decoders(self, data, fmt):
+        blob, expect = _mutate(data, _valid_blob(data, fmt), fmt)
+        self._check(decode_pgm if fmt == "pgm" else decode_fpd1, blob, expect)
+
+    @given(st.data(), st.sampled_from(["pgm", "fpd1"]))
+    def test_read_image(self, tmp_path_factory, data, fmt):
+        blob, expect = _mutate(data, _valid_blob(data, fmt), fmt)
+        path = tmp_path_factory.mktemp("fuzz") / "img"
+        path.write_bytes(blob)
+        self._check(read_image, path, expect)

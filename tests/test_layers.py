@@ -256,6 +256,27 @@ class TestLeakyRelu:
         bits = np.uint32 if dtype == np.float32 else np.uint64
         np.testing.assert_array_equal(out.view(bits), expect.view(bits))
 
+    @pytest.mark.parametrize(
+        "x_dtype,g_dtype",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+    )
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 1.0])
+    def test_backward_bitwise_equal_to_where_formula(self, alpha, x_dtype, g_dtype):
+        """The slope lookup against np.where(x >= 0, 1, alpha) * grad_out,
+        bit for bit and in the same result dtype, on signed zeros, NaN,
+        both infinities and random values."""
+        rng = np.random.default_rng(6)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf]
+        x = np.concatenate([rng.standard_normal(64) * 100, special]).astype(x_dtype)
+        g = np.concatenate([special, rng.standard_normal(64) * 100]).astype(g_dtype)
+        x, g = x.reshape(1, 1, 1, -1), g.reshape(1, 1, 1, -1)
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            expect = g * np.where(x >= 0, x.dtype.type(1.0), x.dtype.type(alpha))
+            out = leaky_relu_backward(x, alpha, g)
+        assert out.dtype == expect.dtype == np.result_type(x_dtype, g_dtype)
+        bits = np.uint32 if out.dtype == np.float32 else np.uint64
+        np.testing.assert_array_equal(out.view(bits), expect.view(bits))
+
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             leaky_relu_forward(np.zeros((1, 1, 1, 1)), 1.5)

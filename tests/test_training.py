@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -26,6 +27,7 @@ from fringe_denoise.network import (
 )
 from fringe_denoise.training import (
     AdamState,
+    NonFiniteLossError,
     TrainConfig,
     adam_step,
     epoch_permutation,
@@ -292,3 +294,41 @@ class TestCheckpoint:
         ):
             assert pa == pb
             np.testing.assert_array_equal(ta, tb)
+
+
+class TestTrainGuards:
+    def test_non_finite_loss_stops_before_update_and_checkpoint(self, tmp_path):
+        ds = toy_dataset(n_images=4, seed=2)
+        ds.corpus[1][1][3, 5] = np.nan  # one noisy pixel, inside one patch
+        cfg = TrainConfig(
+            batch_size=4, epochs=2, seed=0, holdout_fraction=0.0,
+            checkpoint_dir=str(tmp_path),
+        )
+        with pytest.raises(NonFiniteLossError, match="nan"):
+            train(ds, SMALL_NET, cfg)
+        assert not list(tmp_path.glob("*.fpdc"))
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        ds = toy_dataset(n_images=6, seed=11)
+        cfg = TrainConfig(batch_size=4, epochs=1, seed=13, checkpoint_dir=str(tmp_path))
+        train(ds, SMALL_NET, cfg)
+        return ds, cfg, str(tmp_path / "ckpt_epoch_0001.fpdc")
+
+    @pytest.mark.parametrize(
+        "change,match",
+        [({"seed": 14}, "seed 13"), ({"learning_rate": 2e-3}, "hyperparameters")],
+        ids=["seed", "learning-rate"],
+    )
+    def test_resume_with_other_config_is_refused(self, tmp_path, checkpoint, change, match):
+        ds, cfg, path = checkpoint
+        other = dataclasses.replace(cfg, epochs=2, checkpoint_dir=str(tmp_path / "r"), **change)
+        with pytest.raises(CheckpointError, match=match):
+            train(ds, SMALL_NET, other, resume_from=path)
+        assert not (tmp_path / "r").exists()
+
+    def test_resume_may_extend_epochs(self, tmp_path, checkpoint):
+        ds, cfg, path = checkpoint
+        longer = dataclasses.replace(cfg, epochs=3, checkpoint_dir=str(tmp_path / "r"))
+        _, log = train(ds, SMALL_NET, longer, resume_from=path)
+        assert [row["epoch"] for row in log] == [2, 3]
