@@ -28,7 +28,6 @@ SEED = 2024
 CONFIG = {
     "seed": SEED,
     "simulate": {"count": 20, "width": 256, "height": 256},
-    "dataset": {"patch_size": 40, "stride": 24},
     "network": {"stages": 2, "layers_per_stage": 4, "filters": 16, "kernel": 5},
     "train": {"batch_size": 32, "learning_rate": 1e-3, "epochs": 6},
     "eval": {"every": 2},

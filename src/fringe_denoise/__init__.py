@@ -4,7 +4,7 @@ from .config import RunConfig, load_config
 from .dataset import PackedDataset, PatchDataset, build_dataset
 from .network import NetworkConfig, build_network, denoise, network_forward
 from .phase import PhaseSpec, eval_phase
-from .quality import MetricsReport, binarize, mae, metrics_report, psnr, ssim_mean, thin
+from .quality import binarize, mae, psnr, ssim_mean, thin
 from .speckle import (
     SimulationParams,
     add_awgn,
@@ -27,10 +27,8 @@ __all__ = [
     "network_forward",
     "PhaseSpec",
     "eval_phase",
-    "MetricsReport",
     "binarize",
     "mae",
-    "metrics_report",
     "psnr",
     "ssim_mean",
     "thin",

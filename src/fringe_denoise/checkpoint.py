@@ -103,7 +103,8 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     """Returns (params, net_config, adam_state_or_None, meta).
 
     ``expect`` asserts the stored architecture; a mismatch is a hard error
-    rather than a silently reshaped model.
+    rather than a silently reshaped model.  A NaN or infinite value in any
+    stored tensor is a ``CheckpointError``, so no command computes with it.
     """
     from .training import AdamState
 
@@ -122,7 +123,11 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
         if key not in header:
             raise CheckpointError(f"{path}: header has no {key!r} entry")
     try:
-        net_config = NetworkConfig(**header["network"])
+        network = dict(header["network"])
+        # Older headers name the stage wiring; the noise chain is the only one.
+        if network.pop("stage_wiring", "noise_chain") != "noise_chain":
+            raise ValueError("stage_wiring must be 'noise_chain'")
+        net_config = NetworkConfig(**network)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad network architecture in header: {exc}") from exc
     if expect is not None and net_config != expect:
@@ -143,7 +148,10 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
             raise TruncatedError(
                 f"{path}: tensor {entry['name']} payload is truncated"
             )
-        stored[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {entry['name']} has non-finite values")
+        stored[entry["name"]] = arr.copy()
 
     params = build_network(net_config, np.random.default_rng(0))
     for name, arr in iter_tensors(params):

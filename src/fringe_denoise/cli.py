@@ -28,7 +28,7 @@ from .layers import ShapeError
 from .network import denoise as run_denoise
 from .quality import binarize, mae, psnr, ssim_mean, thin
 from .speckle import normalize_to_range
-from .training import train, write_log_csv
+from .training import train
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -138,7 +138,6 @@ def cmd_train(args) -> int:
     params, log = train(
         ds, cfg.network, train_cfg, resume_from=args.resume, log_path=str(log_path)
     )
-    write_log_csv(log_path, log)
     checkpoints = sorted(out.glob("ckpt_epoch_*.fpdc"))
     manifest = {
         "config": cfg.resolved(),

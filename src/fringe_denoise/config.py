@@ -1,10 +1,10 @@
 """Run configuration: one JSON document driving every pipeline stage.
 
-Sections are ``simulate``, ``dataset``, ``network``, ``train`` and
-``eval``; every field is optional except the master ``seed``.  Unknown
-keys are rejected wherever they appear, so a typo fails the run instead of
-silently using a default.  The fully resolved configuration is echoed into
-each run manifest.
+Sections are ``simulate``, ``network``, ``train`` and ``eval``; the last
+two fill one ``TrainConfig``.  Every field is optional except the master
+``seed``.  Unknown keys are rejected wherever they appear, so a typo fails
+the run instead of silently using a default.  The fully resolved
+configuration is echoed into each run manifest.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import AUG_CODES, EXPAND, IN_PLACE
+from .dataset import IN_PLACE
 from .network import NetworkConfig
 from .training import TrainConfig
 
@@ -53,90 +53,58 @@ class SimulateConfig:
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    patch_size: int = 80
-    stride: int = 16
-    augmentations: tuple[str, ...] = ()
-    augment_mode: str = EXPAND
-
-    def __post_init__(self) -> None:
-        if self.patch_size < 1 or self.stride < 1:
-            raise ConfigError("dataset.patch_size and dataset.stride must be positive")
-        if self.augment_mode not in (EXPAND, IN_PLACE):
-            raise ConfigError(
-                f"dataset.augment_mode must be 'expand' or 'in_place', "
-                f"got {self.augment_mode!r}"
-            )
-        for name in self.augmentations:
-            if name not in AUG_CODES or name == "none":
-                raise ConfigError(f"unknown augmentation {name!r}")
-
-
-@dataclass(frozen=True)
-class TrainSection:
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    epochs: int = 35
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-
-
-@dataclass(frozen=True)
-class EvalSection:
-    every: int = 1
-    holdout_fraction: float = 0.1
-    max_patches: int = 1024
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    train: TrainSection = field(default_factory=TrainSection)
-    eval: EvalSection = field(default_factory=EvalSection)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def train_config(self, checkpoint_dir=None) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.train.batch_size,
-            learning_rate=self.train.learning_rate,
-            epochs=self.train.epochs,
-            beta1=self.train.beta1,
-            beta2=self.train.beta2,
-            adam_eps=self.train.adam_eps,
+        return dataclasses.replace(
+            self.train,
             seed=self.seed,
-            eval_every=self.eval.every,
-            holdout_fraction=self.eval.holdout_fraction,
-            eval_max_patches=self.eval.max_patches,
             checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
         )
 
     def resolved(self) -> dict:
         """All defaults materialized, suitable for manifest echoing."""
-        return dataclasses.asdict(self)
+        out = {
+            "seed": self.seed,
+            "simulate": dataclasses.asdict(self.simulate),
+            "network": dataclasses.asdict(self.network),
+        }
+        for section, keys in _TRAIN_KEYS.items():
+            out[section] = {key: getattr(self.train, name) for key, name in keys.items()}
+        return out
 
 
-_SECTIONS = {
-    "simulate": SimulateConfig,
-    "dataset": DatasetConfig,
-    "network": NetworkConfig,
-    "train": TrainSection,
-    "eval": EvalSection,
+_SECTIONS = {"simulate": SimulateConfig, "network": NetworkConfig}
+
+# JSON key -> TrainConfig field, for the two sections that fill TrainConfig.
+_TRAIN_KEYS = {
+    "train": {k: k for k in ("batch_size", "learning_rate", "epochs",
+                             "beta1", "beta2", "adam_eps")},
+    "eval": {"every": "eval_every", "holdout_fraction": "holdout_fraction",
+             "max_patches": "eval_max_patches"},
 }
 
-_TUPLE_FIELDS = {"a0c_sq_range", "ned_lambda_range", "augmentations"}
+_TUPLE_FIELDS = {"a0c_sq_range", "ned_lambda_range"}
 
 
-def _build_section(cls, data: dict, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+def _section_kwargs(data: dict, name: str, keys: dict) -> dict:
+    """Section ``name`` of ``data`` as keyword arguments renamed by ``keys``."""
+    body = data.get(name, {})
+    if not isinstance(body, dict):
+        raise ConfigError(f"section {name!r} must be a JSON object")
+    unknown = sorted(set(body) - set(keys))
     if unknown:
         raise ConfigError(f"unknown key{'s' if len(unknown) > 1 else ''} "
-                          f"{', '.join(where + '.' + k for k in unknown)}")
-    kwargs = {k: tuple(v) if k in _TUPLE_FIELDS and isinstance(v, list) else v
-              for k, v in data.items()}
+                          f"{', '.join(name + '.' + k for k in unknown)}")
+    return {keys[k]: tuple(v) if k in _TUPLE_FIELDS and isinstance(v, list) else v
+            for k, v in body.items()}
+
+
+def _build(cls, kwargs: dict, where: str):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -148,7 +116,7 @@ def _build_section(cls, data: dict, where: str):
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("run config must be a JSON object")
-    unknown = sorted(set(data) - set(_SECTIONS) - {"seed"})
+    unknown = sorted(set(data) - set(_SECTIONS) - set(_TRAIN_KEYS) - {"seed"})
     if unknown:
         raise ConfigError(f"unknown top-level key{'s' if len(unknown) > 1 else ''} "
                           f"{', '.join(unknown)}")
@@ -159,11 +127,12 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     sections = {}
     for name, cls in _SECTIONS.items():
-        body = data.get(name, {})
-        if not isinstance(body, dict):
-            raise ConfigError(f"section {name!r} must be a JSON object")
-        sections[name] = _build_section(cls, body, name)
-    return RunConfig(seed=seed, **sections)
+        names = {f.name: f.name for f in dataclasses.fields(cls)}
+        sections[name] = _build(cls, _section_kwargs(data, name, names), name)
+    train = {"seed": seed}
+    for name, keys in _TRAIN_KEYS.items():
+        train.update(_section_kwargs(data, name, keys))
+    return RunConfig(seed=seed, train=_build(TrainConfig, train, "train"), **sections)
 
 
 def load_config(path) -> RunConfig:

@@ -46,7 +46,6 @@ def generate_pair(
         ned_lambda=ned_lambda,
         width=cfg.width,
         height=cfg.height,
-        seed=master_seed,
         ar_sq=cfg.ar_sq,
         phi_r=cfg.phi_r,
         index_origin=cfg.index_origin,

@@ -79,10 +79,12 @@ def decode_pgm(buf: bytes) -> np.ndarray:
     fields = []
     for _ in range(3):
         token, pos = _pgm_tokens(buf, pos)
-        try:
-            fields.append(int(token))
-        except ValueError as exc:
-            raise ImageFormatError(f"bad PGM header token {token!r}") from exc
+        # bytes.isdigit is ASCII-only; int() would also take "+5" and "1_0".
+        if not token.isdigit():
+            raise ImageFormatError(
+                f"PGM header token {token!r} is not a positive decimal integer"
+            )
+        fields.append(int(token))
     width, height, maxval = fields
     _check_dims(width, height)
     if maxval != 255:

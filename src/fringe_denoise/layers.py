@@ -16,17 +16,12 @@ same shifted slices.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 TRAIN = "train"
 INFER = "infer"
-
-# When set, every op asserts its output is finite. Costs a pass over the
-# data, so it is off unless the environment asks for it.
-DEBUG_CHECKS = bool(os.environ.get("FRINGE_DENOISE_DEBUG"))
 
 
 class ShapeError(ValueError):
@@ -84,11 +79,6 @@ class BatchNormParams:
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
-
-
-def _finite_check(arr: np.ndarray, op: str) -> None:
-    if DEBUG_CHECKS and not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"{op} produced non-finite values")
 
 
 def _padded_rows(x: np.ndarray, p: int, dtype) -> np.ndarray:
@@ -163,9 +153,7 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     dtype = np.result_type(x, params.weights)
     taps = params.weights.transpose(2, 3, 1, 0).astype(dtype)
     out = _shifted_conv(_padded_rows(x, params.kernel // 2, dtype), taps, n, h, w)
-    out = np.add(out, params.bias.astype(dtype)[None, :, None, None], order="C")
-    _finite_check(out, "conv2d_forward")
-    return out
+    return np.add(out, params.bias.astype(dtype)[None, :, None, None], order="C")
 
 
 def conv2d_backward(
@@ -217,9 +205,7 @@ def leaky_relu_forward(x: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     # max(x, alpha*x) equals the two-branch formula for alpha in [0, 1];
     # fmax keeps x = +inf at alpha = 0, where alpha*x is NaN.
-    out = np.fmax(x, x.dtype.type(alpha) * x)
-    _finite_check(out, "leaky_relu_forward")
-    return out
+    return np.fmax(x, x.dtype.type(alpha) * x)
 
 
 def leaky_relu_backward(x: np.ndarray, alpha: float, grad_out: np.ndarray) -> np.ndarray:
@@ -254,7 +240,6 @@ def batchnorm_forward(
         out = (x - params.running_mean.astype(x.dtype)[None, :, None, None]) * (
             gamma * inv
         )[None, :, None, None] + beta[None, :, None, None]
-        _finite_check(out, "batchnorm_forward")
         return out, None
     if mode != TRAIN:
         raise ValueError(f"mode must be {TRAIN!r} or {INFER!r}, got {mode!r}")
@@ -276,7 +261,6 @@ def batchnorm_forward(
     params.running_var[:] = params.momentum * params.running_var + (
         1.0 - params.momentum
     ) * unbiased.astype(params.running_var.dtype)
-    _finite_check(out, "batchnorm_forward")
     cache = (x_hat, inv_std, gamma, count)
     return out, cache
 

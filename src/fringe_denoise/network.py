@@ -31,9 +31,6 @@ from .layers import (
     leaky_relu_forward,
 )
 
-NOISE_CHAIN = "noise_chain"
-IMAGE_CHAIN = "image_chain"
-
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -43,7 +40,6 @@ class NetworkConfig:
     kernel: int = 5
     alpha_first: float = 0.05
     alpha_rest: float = 0.5
-    stage_wiring: str = NOISE_CHAIN
 
     def __post_init__(self) -> None:
         if self.stages < 1:
@@ -61,8 +57,6 @@ class NetworkConfig:
             a = getattr(self, name)
             if not 0.0 <= a <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {a}")
-        if self.stage_wiring not in (NOISE_CHAIN, IMAGE_CHAIN):
-            raise ValueError(f"unknown stage_wiring {self.stage_wiring!r}")
 
     @property
     def receptive_radius(self) -> int:
@@ -80,9 +74,6 @@ class LayerParams:
 @dataclass
 class NetworkParams:
     layers: list[list[LayerParams]] = field(default_factory=list)  # [stage][layer]
-
-    def stage_count(self) -> int:
-        return len(self.layers)
 
 
 def _init_bn(channels: int, dtype) -> BatchNormParams:
@@ -160,7 +151,6 @@ def network_forward(
     caches: list | None = [] if mode == TRAIN else None
     x = z
     for stage in params.layers:
-        stage_in = x
         for layer in stage:
             conv_in = x
             pre = conv2d_forward(x, layer.conv)
@@ -174,13 +164,6 @@ def network_forward(
                 x = pre
             if caches is not None:
                 caches.append((conv_in, bn_cache, act_in))
-        if config.stage_wiring == IMAGE_CHAIN:
-            # Alternative wiring kept for experiments: each stage refines a
-            # progressively denoised image.  The chain still returns a total
-            # noise estimate so that input - estimate is the clean image.
-            x = stage_in - x
-    if config.stage_wiring == IMAGE_CHAIN:
-        x = z - x
     return x, caches
 
 
@@ -193,13 +176,9 @@ def network_backward(
     """Chain gradients of the noise estimate back through every stage.
 
     Returns a dict keyed like ``iter_tensors(..., trainable_only=True)``.
-    Only the noise-chain wiring is differentiated; the image-chain variant
-    is inference-only.
     """
     if caches is None:
         raise ValueError("network_backward requires caches from a TRAIN-mode forward")
-    if config.stage_wiring != NOISE_CHAIN:
-        raise NotImplementedError("backward pass supports noise_chain wiring only")
     grads: dict[str, np.ndarray] = {}
     flat_layers = [
         (s, d, layer)

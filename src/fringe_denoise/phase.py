@@ -9,7 +9,7 @@ starting at the configured origin (1 by default).  Denominators may be
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -188,26 +188,19 @@ def _random_poly(rng: np.random.Generator, span: float, grad: float) -> Poly2:
     )
 
 
+# The JSON "kind" of each term type; both codec directions read it.
+_KINDS = {"gaussian2d": Gaussian2D, "poly2": Poly2, "product": Product, "constant": Constant}
+
+
 def spec_to_dict(spec: PhaseSpec) -> dict:
     """JSON-friendly encoding, inverse of ``spec_from_dict``."""
-    out = []
-    for coeff, term in spec.terms:
-        if isinstance(term, Gaussian2D):
-            body = {"kind": "gaussian2d", **_gauss_fields(term)}
-        elif isinstance(term, Poly2):
-            body = {"kind": "poly2", **_poly_fields(term)}
-        elif isinstance(term, Product):
-            body = {
-                "kind": "product",
-                "poly": _poly_fields(term.poly),
-                "gauss": _gauss_fields(term.gauss),
-            }
-        elif isinstance(term, Constant):
-            body = {"kind": "constant", "value": term.value}
-        else:  # pragma: no cover - exhaustive over Term
-            raise PhaseSpecError(f"unknown term type {type(term)!r}")
-        out.append({"coeff": coeff, "term": body})
-    return {"terms": out}
+    kind_of = {cls: kind for kind, cls in _KINDS.items()}
+    return {
+        "terms": [
+            {"coeff": coeff, "term": {"kind": kind_of[type(term)], **asdict(term)}}
+            for coeff, term in spec.terms
+        ]
+    }
 
 
 def spec_from_dict(data: dict) -> PhaseSpec:
@@ -215,36 +208,9 @@ def spec_from_dict(data: dict) -> PhaseSpec:
     for entry in data["terms"]:
         body = dict(entry["term"])
         kind = body.pop("kind")
-        if kind == "gaussian2d":
-            term: Term = Gaussian2D(**body)
-        elif kind == "poly2":
-            term = Poly2(**body)
-        elif kind == "product":
-            term = Product(poly=Poly2(**body["poly"]), gauss=Gaussian2D(**body["gauss"]))
-        elif kind == "constant":
-            term = Constant(**body)
-        else:
+        if kind not in _KINDS:
             raise PhaseSpecError(f"unknown term kind {kind!r}")
-        terms.append((float(entry["coeff"]), term))
+        if kind == "product":
+            body = {"poly": Poly2(**body["poly"]), "gauss": Gaussian2D(**body["gauss"])}
+        terms.append((float(entry["coeff"]), _KINDS[kind](**body)))
     return PhaseSpec(terms=tuple(terms))
-
-
-def _gauss_fields(g: Gaussian2D) -> dict:
-    return {
-        "amplitude": g.amplitude,
-        "center_i": g.center_i,
-        "center_j": g.center_j,
-        "denom_i": g.denom_i,
-        "denom_j": g.denom_j,
-    }
-
-
-def _poly_fields(p: Poly2) -> dict:
-    return {
-        "scale_i": p.scale_i,
-        "center_i": p.center_i,
-        "denom_i": p.denom_i,
-        "scale_j": p.scale_j,
-        "center_j": p.center_j,
-        "denom_j": p.denom_j,
-    }

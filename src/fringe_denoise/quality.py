@@ -8,7 +8,6 @@ by Zhang-Suen two-subiteration parallel thinning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +17,6 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    psnr: float
-    ssim: float
-    mae: float
 
 
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
@@ -86,12 +78,6 @@ def ssim_mean(a: np.ndarray, b: np.ndarray, peak: float = 255.0) -> float:
     num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
-
-
-def metrics_report(reference: np.ndarray, test: np.ndarray) -> MetricsReport:
-    return MetricsReport(
-        psnr=psnr(test, reference), ssim=ssim_mean(test, reference), mae=mae(test, reference)
-    )
 
 
 def otsu_threshold(img: np.ndarray) -> int:

@@ -24,7 +24,6 @@ class SimulationParams:
     ned_lambda: float
     width: int
     height: int
-    seed: int = 0
     ar_sq: float = 1.0
     phi_r: float = 0.0
     index_origin: int = 1
@@ -77,17 +76,6 @@ def render_noisy(
     base = amp + amp * np.cos(dphi + np.pi)
     noise = -amp * (1.0 - np.cos(dphi)) * np.cos(2.0 * phi0 + dphi - 2.0 * params.phi_r)
     return base + noise
-
-
-def speckle_noise_term(a0_sq, ar_sq, dphi, phi0, phi_r=0.0):
-    """The signal-dependent noise term in isolation (single-pixel oracle)."""
-    return (
-        -4.0
-        * a0_sq
-        * ar_sq
-        * (1.0 - np.cos(dphi))
-        * np.cos(phi0 + (phi0 + dphi) - 2.0 * phi_r)
-    )
 
 
 def normalize_to_range(img: np.ndarray, peak: float = 255.0) -> np.ndarray:

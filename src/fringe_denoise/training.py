@@ -71,7 +71,8 @@ class AdamState:
 
 
 class NonFiniteLossError(ValueError):
-    """A training batch gave a NaN or infinite loss."""
+    """A training batch gave a NaN or infinite loss, or a held-out patch
+    denoised to NaN or infinite values."""
 
 
 def euclid_loss(
@@ -177,13 +178,21 @@ def evaluate_patches(
     batch_size: int,
 ) -> tuple[float, float, float]:
     """Mean PSNR/SSIM/MAE of denoised held-out patches against their clean
-    counterparts (inference mode)."""
+    counterparts (inference mode).
+
+    Raises ``NonFiniteLossError`` when a denoised patch is not finite, so
+    no NaN reaches the training log.
+    """
     scores: list[tuple[float, float, float]] = []
     for start in range(0, len(indices), batch_size):
         chunk = indices[start : start + batch_size]
         x, z = _stack_batch(dataset, chunk)
         v, _ = network_forward(z, params, net_config, mode=INFER)
         denoised = z - v
+        finite = np.isfinite(denoised).all(axis=(1, 2, 3))
+        if not finite.all():
+            bad = int(chunk[np.argmin(finite)])
+            raise NonFiniteLossError(f"held-out patch {bad} denoises to non-finite values")
         for b in range(x.shape[0]):
             d = denoised[b, 0].astype(np.float64)
             c = x[b, 0].astype(np.float64)

@@ -169,3 +169,15 @@ def count_components_8(binary: np.ndarray) -> int:
 
     _, n = ndimage.label(binary, structure=np.ones((3, 3), dtype=int))
     return int(n)
+
+
+def speckle_noise_term(a0_sq, ar_sq, dphi, phi0, phi_r=0.0):
+    """The signal-dependent speckle noise term of one pixel, as published:
+    -4 a0^2 ar^2 (1 - cos dphi) cos(phi0 + (phi0 + dphi) - 2 phi_r)."""
+    return (
+        -4.0
+        * a0_sq
+        * ar_sq
+        * (1.0 - np.cos(dphi))
+        * np.cos(phi0 + (phi0 + dphi) - 2.0 * phi_r)
+    )

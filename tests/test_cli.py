@@ -14,7 +14,7 @@ from fringe_denoise.network import (
     iter_tensors,
     network_forward,
 )
-from fringe_denoise.training import TrainConfig
+from fringe_denoise.training import TrainConfig, holdout_split
 
 TINY_NET = {"stages": 1, "layers_per_stage": 3, "filters": 2, "kernel": 3}
 
@@ -155,7 +155,6 @@ class TestPipelineEndToEnd:
         cfg = {
             "seed": 11,
             "simulate": {"count": 3, "width": 48, "height": 48},
-            "dataset": {"patch_size": 24, "stride": 24},
             "network": TINY_NET,
             "train": {"batch_size": 4, "epochs": 2},
             "eval": {"every": 2},
@@ -306,3 +305,55 @@ class TestExitCodes:
         assert rc == 2
         assert "loss is nan" in capsys.readouterr().err
         assert not list((tmp_path / "c").glob("*.fpdc"))
+
+    def test_non_finite_held_out_patch_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        corpus = [
+            (img, img + rng.normal(0, 20, img.shape).astype(np.float32))
+            for img in rng.uniform(0, 255, (6, 24, 24)).astype(np.float32)
+        ]
+        ds = build_dataset(corpus, patch_size=12, stride=12)
+        _, held = holdout_split(ds, 0.5, 5)
+        for i in held:  # NaN in held-out sources only: training itself runs clean
+            ds.corpus[ds.provenance[int(i)].source][1][0, 0] = np.nan
+        data = tmp_path / "patches.bin"
+        write_packed(data, ds)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "seed": 5, "network": TINY_NET, "train": {"batch_size": 4, "epochs": 1},
+            "eval": {"holdout_fraction": 0.5},
+        }))
+        out = tmp_path / "out"
+        rc = cli_dispatch(
+            ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]
+        )
+        assert rc == 2
+        assert "held-out patch" in capsys.readouterr().err
+        assert not list(out.glob("*.fpdc"))
+        log = out / "training_log.csv"
+        assert not log.exists() or "nan" not in log.read_text()
+
+    def test_non_finite_checkpoint_is_data_error(self, tmp_path, capsys):
+        model = zero_model(tmp_path)
+        blob = bytearray(model.read_bytes())
+        blob[-4:] = np.float32(np.nan).tobytes()
+        model.write_bytes(bytes(blob))
+        write_image(np.full((16, 16), 100.0), tmp_path / "in.fpd1")
+        rc = cli_dispatch(
+            ["denoise", "--model", str(model), "--in", str(tmp_path / "in.fpd1"),
+             "--out", str(tmp_path / "out.fpd1")]
+        )
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.fpd1").exists()
+
+    def test_train_config_error_precedes_data_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "train": {"batch_size": 1}}))
+        rc = cli_dispatch(
+            ["train", "--config", str(cfg_path), "--data", str(tmp_path / "missing.fpds"),
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "batch_size" in err and "missing.fpds" not in err

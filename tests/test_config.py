@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fringe_denoise.config import ConfigError, config_from_dict, load_config
+from fringe_denoise.training import TrainConfig
 
 
 class TestRunConfig:
@@ -11,7 +12,6 @@ class TestRunConfig:
         resolved = cfg.resolved()
         assert resolved["seed"] == 42
         assert resolved["simulate"]["count"] == 8
-        assert resolved["dataset"]["patch_size"] == 80
         assert resolved["network"]["stages"] == 3
         assert resolved["network"]["filters"] == 64
         assert resolved["train"]["batch_size"] == 64
@@ -47,11 +47,30 @@ class TestRunConfig:
 
     def test_invalid_field_value_reported(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"seed": 1, "dataset": {"augment_mode": "maybe"}})
-        with pytest.raises(ConfigError):
             config_from_dict({"seed": 1, "simulate": {"awgn_mode": "sometimes"}})
         with pytest.raises((ConfigError, ValueError)):
             config_from_dict({"seed": 1, "network": {"kernel": 4}})
+
+    def test_train_checks_run_at_load(self):
+        with pytest.raises(ConfigError, match="batch_size"):
+            config_from_dict({"seed": 1, "train": {"batch_size": 1}})
+
+    def test_dataset_section_is_unknown(self):
+        # The dataset command's flags are its only configuration.
+        with pytest.raises(ConfigError, match="unknown top-level key dataset"):
+            config_from_dict({"seed": 1, "dataset": {"patch_size": 40}})
+
+    def test_train_and_eval_keys_resolve_unchanged(self):
+        cfg = config_from_dict({"seed": 3, "eval": {"max_patches": 7}})
+        resolved = cfg.resolved()
+        assert set(resolved) == {"seed", "simulate", "network", "train", "eval"}
+        assert resolved["train"] == {
+            "batch_size": 64, "learning_rate": 1e-3, "epochs": 35,
+            "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8,
+        }
+        assert resolved["eval"] == {"every": 1, "holdout_fraction": 0.1, "max_patches": 7}
+        assert "stage_wiring" not in resolved["network"]
+        assert cfg.train_config() == TrainConfig(seed=3, eval_max_patches=7)
 
     def test_seed_must_be_integer(self):
         with pytest.raises(ConfigError):

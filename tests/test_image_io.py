@@ -53,10 +53,13 @@ class TestPgm:
         with pytest.raises(TruncatedFileError):
             decode_pgm(b"P5\n4 4\n255\n\x00\x00")
 
-    @pytest.mark.parametrize("dims", ["-1 4", "4 -1", "0 0", "0 4", "4 0", "-2 -3"])
+    @pytest.mark.parametrize(
+        "dims", ["-1 4", "4 -1", "0 0", "0 4", "4 0", "-2 -3", "+1_0 1", "1_0 1", "+5 2"]
+    )
     def test_non_positive_dimensions_rejected(self, dims):
         # A negative size makes the raster slice short or empty, and
-        # reshape(h, -1) would infer the missing size.
+        # reshape(h, -1) would infer the missing size.  Python's int() also
+        # takes a sign and digit-group underscores, which are not PGM digits.
         with pytest.raises(ImageFormatError, match="positive"):
             decode_pgm(f"P5\n{dims}\n255\n".encode("ascii") + bytes(12))
 

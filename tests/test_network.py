@@ -110,38 +110,6 @@ class TestForward:
         with pytest.raises(ShapeError):
             network_forward(np.zeros((1, 2, 8, 8)), params, cfg)
 
-    def test_image_chain_wiring_returns_total_noise_estimate(self):
-        # Each stage refines the progressively denoised image; the returned
-        # estimate must still satisfy: input - estimate = final refinement.
-        cfg = NetworkConfig(
-            stages=2, layers_per_stage=3, filters=3, kernel=3,
-            stage_wiring="image_chain",
-        )
-        params = build_f64(cfg, seed=21)
-        z = np.random.default_rng(22).standard_normal((1, 1, 10, 10))
-        v_total, _ = network_forward(z, params, cfg, mode=INFER)
-
-        single = NetworkConfig(stages=1, layers_per_stage=3, filters=3, kernel=3)
-        net1 = build_f64(single, seed=0)
-        net1.layers[0] = params.layers[0]
-        net2 = build_f64(single, seed=0)
-        net2.layers[0] = params.layers[1]
-        v1, _ = network_forward(z, net1, single, mode=INFER)
-        x1 = z - v1
-        v2, _ = network_forward(x1, net2, single, mode=INFER)
-        np.testing.assert_allclose(z - v_total, x1 - v2, rtol=1e-12, atol=1e-14)
-
-    def test_image_chain_backward_unsupported(self):
-        cfg = NetworkConfig(
-            stages=2, layers_per_stage=3, filters=2, kernel=3,
-            stage_wiring="image_chain",
-        )
-        params = build_f64(cfg)
-        z = np.zeros((2, 1, 8, 8))
-        v, caches = network_forward(z, params, cfg, mode=TRAIN)
-        with pytest.raises(NotImplementedError):
-            network_backward(caches, v, params, cfg)
-
     def test_infer_independent_of_batch_composition(self):
         cfg = NetworkConfig(stages=1, layers_per_stage=3, filters=2, kernel=3)
         params = build_f64(cfg, seed=6)

@@ -10,7 +10,6 @@ from fringe_denoise.layers import ShapeError
 from fringe_denoise.quality import (
     binarize,
     mae,
-    metrics_report,
     otsu_threshold,
     psnr,
     ssim_mean,
@@ -118,17 +117,6 @@ class TestMae:
         a = rng.uniform(0, 255, (5, 5))
         b = rng.uniform(0, 255, (5, 5))
         assert mae(a, b) == mae(b, a)
-
-
-class TestMetricsReport:
-    def test_bundles_all_three(self):
-        rng = np.random.default_rng(2)
-        ref = rng.uniform(0, 255, (24, 24))
-        test = np.clip(ref + rng.normal(0, 5, ref.shape), 0, 255)
-        report = metrics_report(ref, test)
-        assert report.psnr == psnr(test, ref)
-        assert report.ssim == ssim_mean(test, ref)
-        assert report.mae == mae(test, ref)
 
 
 class TestBinarize:

@@ -264,6 +264,44 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def _saved(self, tmp_path):
+        cfg = NetworkConfig(stages=1, layers_per_stage=3, filters=2, kernel=3)
+        params = build_network(cfg, np.random.default_rng(6))
+        path = tmp_path / "net.fpdc"
+        save_checkpoint(path, params, cfg, TrainConfig(seed=0), epoch=1)
+        return path, params, cfg
+
+    def test_header_stage_wiring_of_older_checkpoints(self, tmp_path):
+        """Headers written before the single stage wiring carry a
+        ``stage_wiring`` key: the noise chain loads, anything else is refused."""
+        path, params, cfg = self._saved(tmp_path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + hlen])
+        assert "stage_wiring" not in header["network"]
+        for wiring in ("noise_chain", "image_chain"):
+            header["network"]["stage_wiring"] = wiring
+            text = json.dumps(header, sort_keys=True).encode("ascii")
+            path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen :])
+            if wiring == "image_chain":
+                with pytest.raises(CheckpointError, match="stage_wiring"):
+                    load_checkpoint(path)
+                continue
+            loaded, loaded_cfg, _, _ = load_checkpoint(path, expect=cfg)
+            assert loaded_cfg == cfg
+            for (_, ta), (_, tb) in zip(iter_tensors(params), iter_tensors(loaded)):
+                np.testing.assert_array_equal(ta, tb)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_checkpoint_error(self, tmp_path, value):
+        path, params, _ = self._saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        # The last stored float is the final layer's bias.
+        blob[-4:] = struct.pack("<f", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="s00.l02.conv.bias has non-finite"):
+            load_checkpoint(path)
+
     def test_resume_equals_uninterrupted(self, tmp_path):
         ds = toy_dataset(n_images=6, seed=11)
         net = SMALL_NET
@@ -307,6 +345,18 @@ class TestTrainGuards:
         with pytest.raises(NonFiniteLossError, match="nan"):
             train(ds, SMALL_NET, cfg)
         assert not list(tmp_path.glob("*.fpdc"))
+
+    def test_non_finite_held_out_patch_stops_before_log_and_checkpoint(self, tmp_path):
+        ds = toy_dataset(n_images=6, seed=11)
+        cfg = TrainConfig(batch_size=4, epochs=1, seed=13, checkpoint_dir=str(tmp_path))
+        _, held = holdout_split(ds, cfg.holdout_fraction, cfg.seed)
+        source = ds.provenance[int(held[0])].source
+        ds.corpus[source][1][3, 5] = np.nan
+        log_path = tmp_path / "training_log.csv"
+        with pytest.raises(NonFiniteLossError, match="held-out patch"):
+            train(ds, SMALL_NET, cfg, log_path=str(log_path))
+        assert not list(tmp_path.glob("*.fpdc"))
+        assert not log_path.exists()
 
     @pytest.fixture
     def checkpoint(self, tmp_path):
