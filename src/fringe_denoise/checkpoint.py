@@ -1,12 +1,13 @@
 """Checkpoint file format ("FPDC").
 
-Layout: 4-byte magic, u32 format version, u32 header length, JSON header,
-then all tensors as little-endian float32 in directory order.  The header
-carries the network architecture, a digest of the training configuration,
-the epoch, the master seed and the optimizer step count, plus a tensor
-directory of (name, shape, offset) entries.  Loading reproduces every
-tensor bit-exactly, including batch-norm running statistics and optimizer
-moments, so training can resume as if never interrupted.
+Layout: the shared container framing (``container.py``) with magic
+``FPDC``, then all tensors as little-endian float32, back to back in
+directory order.  The header carries the network architecture, a digest
+of the training configuration, the epoch, the master seed and the
+optimizer step count, plus a tensor directory of (name, shape, offset)
+entries.  Loading reproduces every tensor bit-exactly, including
+batch-norm running statistics and optimizer moments, so training can
+resume as if never interrupted.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import struct
-from pathlib import Path
+import math
 
 import numpy as np
 
+from .container import is_int, read_container, write_container
 from .network import NetworkConfig, NetworkParams, build_network, iter_tensors
 
 MAGIC = b"FPDC"
@@ -86,17 +86,8 @@ def save_checkpoint(
         "adam_t": adam.t if adam is not None else None,
         "tensors": directory,
     }
-    blob = json.dumps(header, sort_keys=True).encode("ascii")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    os.replace(tmp, path)
+    arrays = (np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in tensors)
+    write_container(path, MAGIC, VERSION, header, arrays)
 
 
 def load_checkpoint(path, expect: NetworkConfig | None = None):
@@ -104,24 +95,16 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
 
     ``expect`` asserts the stored architecture; a mismatch is a hard error
     rather than a silently reshaped model.  A NaN or infinite value in any
-    stored tensor is a ``CheckpointError``, so no command computes with it.
+    stored tensor is a ``CheckpointError``, so no command computes with it,
+    and so is a tensor directory whose entries do not lie back to back.
     """
     from .training import AdamState
 
-    buf = Path(path).read_bytes()
-    if buf[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not a checkpoint (magic {buf[:4]!r})")
-    if len(buf) < 12:
-        raise TruncatedError(f"{path}: header is incomplete")
-    version, hlen = struct.unpack("<II", buf[4:12])
-    if version != VERSION:
-        raise VersionError(f"{path}: format version {version}, expected {VERSION}")
-    if len(buf) < 12 + hlen:
-        raise TruncatedError(f"{path}: JSON header is truncated")
-    header = json.loads(buf[12 : 12 + hlen].decode("ascii"))
-    for key in ("network", "tensors", "epoch", "seed", "train_digest"):
-        if key not in header:
-            raise CheckpointError(f"{path}: header has no {key!r} entry")
+    header, payload = read_container(
+        path, MAGIC, VERSION, ("network", "tensors", "epoch", "seed", "train_digest"),
+        CheckpointError, bad_magic=BadMagicError, bad_version=VersionError,
+        truncated=TruncatedError,
+    )
     try:
         network = dict(header["network"])
         # Older headers name the stage wiring; the noise chain is the only one.
@@ -135,23 +118,34 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
             f"{path}: checkpoint architecture {header['network']} does not match "
             f"the expected {dataclasses.asdict(expect)}"
         )
-    payload = buf[12 + hlen :]
+    adam_t = header.get("adam_t")
+    if not is_int(header["epoch"]) or not (adam_t is None or is_int(adam_t)):
+        raise CheckpointError(f"{path}: epoch and adam_t must be non-negative integers")
+    if not isinstance(header["tensors"], list):
+        raise CheckpointError(f"{path}: tensor directory is not a list")
     stored: dict[str, np.ndarray] = {}
+    offset = 0  # tensors are stored back to back in directory order
     for entry in header["tensors"]:
-        if not {"name", "shape", "offset"} <= entry.keys():
-            raise CheckpointError(f"{path}: tensor directory entry {entry} is incomplete")
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        raw = payload[start : start + 4 * size]
-        if len(raw) < 4 * size:
-            raise TruncatedError(
-                f"{path}: tensor {entry['name']} payload is truncated"
+        if not isinstance(entry, dict) or not {"name", "shape", "offset"} <= entry.keys():
+            raise CheckpointError(
+                f"{path}: tensor directory entry {entry} is not an object with name, "
+                "shape and offset"
             )
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        name, shape = entry["name"], entry["shape"]
+        if not (isinstance(name, str) and isinstance(shape, list) and all(map(is_int, shape))):
+            raise CheckpointError(f"{path}: tensor directory entry {entry} is malformed")
+        if entry["offset"] != offset:
+            raise CheckpointError(
+                f"{path}: tensor {name} is stored at offset {entry['offset']}, expected {offset}"
+            )
+        size = math.prod(shape)
+        if len(payload) < offset + 4 * size:
+            raise TruncatedError(f"{path}: tensor {name} payload is truncated")
+        arr = np.frombuffer(payload, dtype="<f4", count=size, offset=offset).reshape(shape)
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"{path}: tensor {entry['name']} has non-finite values")
-        stored[entry["name"]] = arr.copy()
+            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
+        stored[name] = arr.copy()
+        offset += 4 * size
 
     params = build_network(net_config, np.random.default_rng(0))
     for name, arr in iter_tensors(params):
@@ -165,8 +159,8 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
         arr[:] = stored[name]
 
     adam = None
-    if header.get("adam_t") is not None:
-        adam = AdamState(t=header["adam_t"])
+    if adam_t is not None:
+        adam = AdamState(t=adam_t)
         for name, _ in iter_tensors(params, trainable_only=True):
             for moments, key in ((adam.m, f"adam.m.{name}"), (adam.v, f"adam.v.{name}")):
                 if key not in stored:

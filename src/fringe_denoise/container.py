@@ -1,0 +1,81 @@
+"""Framed binary container shared by packed datasets and checkpoints.
+
+Layout: 4-byte magic, then u32 format version and u32 header length (both
+little-endian), an ASCII JSON object header, then the payload.  The magic,
+version and header keys belong to the calling format; this module owns
+only the framing, so every file in this layout is written and checked the
+same way.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import struct
+from pathlib import Path
+
+import numpy as np
+
+PRELUDE = struct.Struct("<4sII")
+
+
+def write_container(path, magic: bytes, version: int, header: dict, chunks) -> None:
+    """Write the framing, then the payload byte strings ``chunks`` in order.
+
+    The write is atomic: the file appears complete or not at all.
+    """
+    blob = json.dumps(header, sort_keys=True).encode("ascii")
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(PRELUDE.pack(magic, version, len(blob)) + blob)
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_container(
+    path, magic: bytes, version: int, required: tuple[str, ...], error: type[Exception], *,
+    bad_magic=None, bad_version=None, truncated=None,
+) -> tuple[dict, np.ndarray]:
+    """Returns (header, payload) with the payload as a read-only uint8 map.
+
+    Every failure raises one of the caller's error classes: ``bad_magic``,
+    ``bad_version`` and ``truncated`` default to ``error``, which also
+    covers a header that is not an ASCII JSON object holding ``required``.
+    """
+    bad_magic, bad_version, truncated = (c or error for c in (bad_magic, bad_version, truncated))
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prelude = fh.read(PRELUDE.size)
+        if prelude[:4] != magic:
+            raise bad_magic(f"{path}: bad magic {prelude[:4]!r}, expected {magic!r}")
+        if len(prelude) < PRELUDE.size:
+            raise truncated(f"{path}: file ends inside its prelude")
+        _, found, hlen = PRELUDE.unpack(prelude)
+        if found != version:
+            raise bad_version(f"{path}: format version {found}, expected {version}")
+        start = PRELUDE.size + hlen
+        if size < start:
+            raise truncated(f"{path}: JSON header is truncated")
+        text = fh.read(hlen)
+    try:
+        header = json.loads(text.decode("ascii"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: header is not ASCII JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise error(f"{path}: header is a JSON {type(header).__name__}, not an object")
+    for key in required:
+        if key not in header:
+            raise error(f"{path}: header has no {key!r} entry")
+    if size == start:  # older numpy cannot map zero bytes at the end of a file
+        return header, np.zeros(0, dtype=np.uint8)
+    return header, np.memmap(path, dtype=np.uint8, mode="r", offset=start)
+
+
+def is_int(value, least: int = 0) -> bool:
+    """True for a JSON integer (not a boolean) of at least ``least``."""
+    return type(value) is int and value >= least

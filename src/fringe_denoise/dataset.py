@@ -7,20 +7,20 @@ augmentation code), so its pixels can be re-materialized from the corpus
 at any time; nothing about patch content is stored in the in-memory
 dataset.
 
-The packed on-disk form is a JSON-headed binary whose payload is the
-concatenation of float-image blobs, two per pair, enabling random access
-by index (all blobs have equal size) and memory-mapped streaming of large
-datasets.
+The packed on-disk form uses the shared container framing
+(``container.py``) with magic ``FPDS``; its payload is the concatenation
+of float-image blobs, two per pair, enabling random access by index (all
+blobs have equal size) and memory-mapped streaming of large datasets.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .container import is_int, read_container, write_container
 from .image_io import FPD1_HEADER_BYTES, decode_fpd1, encode_fpd1
 
 AUG_NONE = 0
@@ -155,27 +155,29 @@ PACKED_VERSION = 1
 
 
 def write_packed(path, dataset) -> None:
-    """Serialize any (len, getitem, provenance) dataset to the packed form."""
-    p = dataset.patch_size
+    """Serialize any (len, getitem, provenance) dataset to the packed form.
+
+    The write is atomic: a dataset that fails partway leaves no file.
+    """
     header = {
         "version": PACKED_VERSION,
-        "patch_size": p,
+        "patch_size": dataset.patch_size,
         "stride": dataset.stride,
         "count": len(dataset),
         "provenance": [
             [ref.source, ref.row, ref.col, ref.aug] for ref in dataset.provenance
         ],
     }
-    blob = json.dumps(header, sort_keys=True).encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(PACKED_MAGIC)
-        fh.write(np.uint32(PACKED_VERSION).tobytes())
-        fh.write(np.uint32(len(blob)).tobytes())
-        fh.write(blob)
-        for i in range(len(dataset)):
-            clean, noisy = dataset[i]
-            fh.write(encode_fpd1(clean))
-            fh.write(encode_fpd1(noisy))
+    blobs = (encode_fpd1(img) for i in range(len(dataset)) for img in dataset[i])
+    write_container(path, PACKED_MAGIC, PACKED_VERSION, header, blobs)
+
+
+def _is_record(entry) -> bool:
+    """A provenance record: four non-negative integers, the last an augmentation."""
+    return (
+        isinstance(entry, list) and len(entry) == 4 and all(map(is_int, entry))
+        and entry[3] in AUG_NAMES
+    )
 
 
 class PackedDataset:
@@ -183,31 +185,37 @@ class PackedDataset:
 
     def __init__(self, path) -> None:
         self.path = Path(path)
-        raw = np.memmap(self.path, dtype=np.uint8, mode="r")
-        if bytes(raw[:4]) != PACKED_MAGIC:
-            raise DatasetError(f"{path}: not a packed dataset (bad magic)")
-        version = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-        if version != PACKED_VERSION:
-            raise DatasetError(f"{path}: unsupported packed version {version}")
-        hlen = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
-        header = json.loads(bytes(raw[12 : 12 + hlen]).decode("ascii"))
+        header, payload = read_container(
+            path, PACKED_MAGIC, PACKED_VERSION, ("patch_size", "stride", "count", "provenance"),
+            DatasetError,
+        )
         self.patch_size = header["patch_size"]
         self.stride = header["stride"]
-        self.provenance = [PatchRef(*entry) for entry in header["provenance"]]
         self._count = header["count"]
+        if not (is_int(self.patch_size, 1) and is_int(self.stride, 1) and is_int(self._count)):
+            raise DatasetError(
+                f"{path}: patch_size and stride must be integers >= 1 and count an "
+                f"integer >= 0, got {self.patch_size!r}, {self.stride!r}, {self._count!r}"
+            )
+        records = header["provenance"]
+        if not (isinstance(records, list) and all(map(_is_record, records))):
+            raise DatasetError(
+                f"{path}: provenance must be a list of [source, row, col, aug] "
+                "non-negative integers with a known augmentation code"
+            )
+        self.provenance = [PatchRef(*entry) for entry in records]
         if self._count != len(self.provenance):
             raise DatasetError(
                 f"{path}: header count {self._count} disagrees with "
                 f"{len(self.provenance)} provenance records"
             )
-        self._payload_start = 12 + hlen
         self._blob_bytes = FPD1_HEADER_BYTES + 4 * self.patch_size * self.patch_size
-        expected = self._payload_start + self._count * 2 * self._blob_bytes
-        if raw.size < expected:
+        expected = self._count * 2 * self._blob_bytes
+        if payload.size < expected:
             raise DatasetError(
-                f"{path}: truncated payload ({raw.size} bytes, expected {expected})"
+                f"{path}: truncated payload ({payload.size} bytes, expected {expected})"
             )
-        self._raw = raw
+        self._payload = payload
 
     def __len__(self) -> int:
         return self._count
@@ -215,8 +223,13 @@ class PackedDataset:
     def __getitem__(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= idx < self._count:
             raise IndexError(idx)
-        off = self._payload_start + idx * 2 * self._blob_bytes
-        clean = decode_fpd1(bytes(self._raw[off : off + self._blob_bytes]))
-        off += self._blob_bytes
-        noisy = decode_fpd1(bytes(self._raw[off : off + self._blob_bytes]))
+        p, n = self.patch_size, self._blob_bytes
+        off = idx * 2 * n
+        clean = decode_fpd1(bytes(self._payload[off : off + n]))
+        noisy = decode_fpd1(bytes(self._payload[off + n : off + 2 * n]))
+        if clean.shape != (p, p) or noisy.shape != (p, p):
+            raise DatasetError(
+                f"{self.path}: patch pair {idx} decodes to shapes {clean.shape} and "
+                f"{noisy.shape}, expected ({p}, {p})"
+            )
         return clean, noisy

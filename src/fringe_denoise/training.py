@@ -236,6 +236,11 @@ def train(
             raise CheckpointError(
                 f"{resume_from}: checkpoint was trained with other hyperparameters"
             )
+        if meta["epoch"] >= train_config.epochs:
+            raise CheckpointError(
+                f"{resume_from}: checkpoint is at epoch {meta['epoch']}, so a run of "
+                f"{train_config.epochs} epochs has none left to train"
+            )
         if adam is None:
             adam = AdamState.for_params(params)
         start_epoch = meta["epoch"] + 1

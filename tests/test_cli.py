@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from fringe_denoise.network import (
     network_forward,
 )
 from fringe_denoise.training import TrainConfig, holdout_split
+
+from framing import edit_header, read_header, replace_header
 
 TINY_NET = {"stages": 1, "layers_per_stage": 3, "filters": 2, "kernel": 3}
 
@@ -46,6 +49,38 @@ def zero_model(tmp_path, cfg_kwargs=TINY_NET):
     path = tmp_path / "zero.fpdc"
     save_checkpoint(path, params, cfg, TrainConfig(seed=0), epoch=0)
     return path
+
+
+def train_inputs(tmp_path):
+    """A packed dataset of 12x12 patch pairs and a one-epoch run config."""
+    rng = np.random.default_rng(4)
+    corpus = [
+        (img, img + rng.normal(0, 20, img.shape).astype(np.float32))
+        for img in rng.uniform(0, 255, (3, 24, 24)).astype(np.float32)
+    ]
+    data = tmp_path / "patches.bin"
+    write_packed(data, build_dataset(corpus, patch_size=12, stride=12))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(
+        {"seed": 5, "network": TINY_NET, "train": {"batch_size": 4, "epochs": 1}}
+    ))
+    return data, cfg_path
+
+
+def single_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+def reshape_every_blob(path) -> None:
+    """Give the 24 blobs (12 pairs) of ``train_inputs`` an 8x18 header in place
+    of 12x12: same size, wrong shape."""
+    blob = bytearray(path.read_bytes())
+    size = 12 + 4 * 12 * 12
+    for start in range(len(blob) - size, 0, -size)[: 2 * 12]:
+        blob[start + 4 : start + 12] = struct.pack("<II", 8, 18)
+    path.write_bytes(bytes(blob))
 
 
 class TestMetricsCommand:
@@ -357,3 +392,54 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "batch_size" in err and "missing.fpds" not in err
+
+    def test_resume_at_last_epoch_is_data_error(self, tmp_path, capsys):
+        data, cfg_path = train_inputs(tmp_path)
+        run = ["train", "--data", str(data), "--config", str(cfg_path)]
+        assert cli_dispatch([*run, "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        resume = ["--resume", str(tmp_path / "a" / "ckpt_epoch_0001.fpdc")]
+        assert cli_dispatch([*run, "--out", str(tmp_path / "b"), *resume]) == 2
+        assert "epoch 1" in single_error_line(capsys)
+        assert not list((tmp_path / "b").iterdir())
+
+    def test_malformed_packed_dataset_is_data_error(self, tmp_path, capsys):
+        corruptions = [
+            lambda p: edit_header(p, lambda h: h.pop("patch_size")),
+            lambda p: edit_header(p, lambda h: h["provenance"].__setitem__(0, [0, 0])),
+            lambda p: edit_header(p, lambda h: h.update(patch_size="12")),
+            lambda p: replace_header(p, "[1]"),
+            lambda p: replace_header(p, "7"),
+            lambda p: p.write_bytes(b""),
+            lambda p: p.write_bytes(p.read_bytes()[:6]),
+            reshape_every_blob,
+        ]
+        for k, corrupt in enumerate(corruptions):
+            data, cfg_path = train_inputs(tmp_path)
+            corrupt(data)
+            rc = cli_dispatch(
+                ["train", "--data", str(data), "--config", str(cfg_path),
+                 "--out", str(tmp_path / f"o{k}")]
+            )
+            assert rc == 2, k
+            single_error_line(capsys)
+
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys):
+        write_image(np.full((16, 16), 100.0), tmp_path / "in.fpd1")
+        corruptions = [
+            lambda t: t.__setitem__(0, 7),
+            lambda t: t[0].update(offset=-(4 * 18 + 4)),
+            lambda t: t[2].update(offset=0),
+            lambda t: t[0]["shape"].__setitem__(0, -2),
+        ]
+        for k, corrupt in enumerate(corruptions):
+            model = zero_model(tmp_path)
+            assert read_header(model)["tensors"][0]["shape"] == [2, 1, 3, 3]
+            edit_header(model, lambda h: corrupt(h["tensors"]))
+            rc = cli_dispatch(
+                ["denoise", "--model", str(model), "--in", str(tmp_path / "in.fpd1"),
+                 "--out", str(tmp_path / "out.fpd1")]
+            )
+            assert rc == 2, k
+            single_error_line(capsys)
+        assert not (tmp_path / "out.fpd1").exists()

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from fringe_denoise.dataset import (
     grid_offsets,
     write_packed,
 )
+from fringe_denoise.image_io import ImageFormatError
+
+from framing import edit_header, replace_header
 
 
 def make_corpus(n, size, seed=0):
@@ -145,3 +149,90 @@ class TestPacked:
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(DatasetError, match="magic"):
             PackedDataset(path)
+
+
+def packed_16(tmp_path):
+    """A packed dataset of four 16x16 patch pairs."""
+    path = tmp_path / "patches.bin"
+    write_packed(path, build_dataset(make_corpus(1, 32, seed=3), patch_size=16, stride=16))
+    return path
+
+
+class TestPackedHeaderChecks:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("patch_size"),
+            lambda h: h["provenance"].__setitem__(0, [0, 0]),
+            lambda h: h.update(patch_size="4"),
+            lambda h: h.update(patch_size=0),
+            lambda h: h.update(stride=0),
+            lambda h: h.update(count=4.0),
+            lambda h: h.update(provenance={"0": [0, 0, 0, 0]}),
+            lambda h: h["provenance"].__setitem__(0, [0, -16, 0, 0]),
+            lambda h: h["provenance"].__setitem__(0, [0, 0.5, 0, 0]),
+            lambda h: h["provenance"].__setitem__(0, [0, 0, 0, 9]),
+        ],
+        ids=[
+            "no-patch_size", "two-integer-record", "string-patch_size", "zero-patch_size",
+            "zero-stride", "float-count", "provenance-object", "negative-row",
+            "float-row", "unknown-augmentation",
+        ],
+    )
+    def test_malformed_header_is_dataset_error(self, tmp_path, edit):
+        path = packed_16(tmp_path)
+        edit_header(path, edit)
+        with pytest.raises(DatasetError):
+            PackedDataset(path)
+
+    @pytest.mark.parametrize("text", ["{", b'{"\xe9": 1}'], ids=["not-json", "not-ascii"])
+    def test_header_that_is_not_ascii_json_is_dataset_error(self, tmp_path, text):
+        path = packed_16(tmp_path)
+        replace_header(path, text)
+        with pytest.raises(DatasetError, match="header"):
+            PackedDataset(path)
+
+    @pytest.mark.parametrize("length", [0, 6, 10, 40])
+    def test_file_ending_before_payload_is_dataset_error(self, tmp_path, length):
+        path = packed_16(tmp_path)
+        path.write_bytes(path.read_bytes()[:length])
+        with pytest.raises(DatasetError):
+            PackedDataset(path)
+
+    def test_blob_of_other_shape_is_dataset_error(self, tmp_path):
+        """An 8x32 blob has the byte size of a 16x16 one, but is not a patch."""
+        path = packed_16(tmp_path)
+        blob = bytearray(path.read_bytes())
+        start = len(blob) - 4 * 2 * (12 + 4 * 16 * 16)  # first blob of four pairs
+        blob[start + 4 : start + 12] = struct.pack("<II", 8, 32)
+        path.write_bytes(bytes(blob))
+        packed = PackedDataset(path)
+        with pytest.raises(DatasetError, match="patch pair 0"):
+            packed[0]
+        assert packed[1][0].shape == (16, 16)
+
+
+class TestPackedFuzz:
+    """A truncated or bit-flipped packed file opens and reads as patches of
+    the header's size, or raises DatasetError or ImageFormatError."""
+
+    @given(st.data())
+    def test_truncation_or_bit_flip(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "patches.bin"
+        write_packed(path, build_dataset(make_corpus(1, 8, seed=5), patch_size=4, stride=4))
+        blob = bytearray(path.read_bytes())
+        truncate = data.draw(st.booleans(), label="truncate")
+        if truncate:
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(blob) - 1), label="byte")
+            blob[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        path.write_bytes(bytes(blob))
+        try:
+            packed = PackedDataset(path)
+            pairs = [packed[i] for i in range(len(packed))]
+        except (DatasetError, ImageFormatError):
+            return
+        assert not truncate, "a truncated packed file read back"
+        p = packed.patch_size
+        assert all(img.shape == (p, p) for pair in pairs for img in pair)

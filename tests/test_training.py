@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -37,6 +38,7 @@ from fringe_denoise.training import (
     train,
 )
 
+from framing import edit_header
 from oracles import finite_diff_grad, rel_err
 
 SMALL_NET = NetworkConfig(stages=1, layers_per_stage=3, filters=2, kernel=3)
@@ -334,6 +336,70 @@ class TestCheckpoint:
             np.testing.assert_array_equal(ta, tb)
 
 
+def saved_checkpoint(path, with_adam=True):
+    params = build_network(SMALL_NET, np.random.default_rng(6))
+    adam = AdamState.for_params(params) if with_adam else None
+    save_checkpoint(path, params, SMALL_NET, TrainConfig(seed=0), epoch=1, adam=adam)
+    return path
+
+
+class TestCheckpointDirectory:
+    """Directory entries are objects with non-negative integer shapes, and
+    the tensors lie back to back in directory order."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t[0].update(offset=-(4 * math.prod(t[0]["shape"]) + 4)),
+            lambda t: t[2].update(offset=t[0]["offset"]),
+            lambda t: t.__setitem__(0, 7),
+            lambda t: t[0]["shape"].__setitem__(0, -t[0]["shape"][0]),
+            lambda t: t[0].update(shape=5),
+            lambda t: t[0].update(name=[1]),
+        ],
+        ids=[
+            "negative-offset", "offset-of-another-tensor", "entry-not-object",
+            "negative-dimension", "shape-not-list", "name-not-string",
+        ],
+    )
+    def test_malformed_entry_is_checkpoint_error(self, tmp_path, edit):
+        path = saved_checkpoint(tmp_path / "net.fpdc")
+        edit_header(path, lambda h: edit(h["tensors"]))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "change", [{"epoch": "1"}, {"epoch": -1}, {"adam_t": 1.5}],
+        ids=["string-epoch", "negative-epoch", "float-adam_t"],
+    )
+    def test_epoch_and_adam_t_must_be_integers(self, tmp_path, change):
+        path = saved_checkpoint(tmp_path / "net.fpdc")
+        edit_header(path, lambda h: h.update(change))
+        with pytest.raises(CheckpointError, match="non-negative integers"):
+            load_checkpoint(path)
+
+
+class TestCheckpointFuzz:
+    """A truncated or bit-flipped checkpoint loads, or raises CheckpointError."""
+
+    @given(st.data())
+    def test_truncation_or_bit_flip(self, tmp_path_factory, data):
+        path = saved_checkpoint(tmp_path_factory.mktemp("fuzz") / "net.fpdc")
+        blob = bytearray(path.read_bytes())
+        truncate = data.draw(st.booleans(), label="truncate")
+        if truncate:
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(blob) - 1), label="byte")
+            blob[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            return
+        assert not truncate, "a truncated checkpoint loaded"
+
+
 class TestTrainGuards:
     def test_non_finite_loss_stops_before_update_and_checkpoint(self, tmp_path):
         ds = toy_dataset(n_images=4, seed=2)
@@ -376,6 +442,15 @@ class TestTrainGuards:
         with pytest.raises(CheckpointError, match=match):
             train(ds, SMALL_NET, other, resume_from=path)
         assert not (tmp_path / "r").exists()
+
+    def test_resume_at_last_epoch_is_refused(self, tmp_path, checkpoint):
+        ds, cfg, path = checkpoint
+        again = dataclasses.replace(cfg, checkpoint_dir=str(tmp_path / "r"))
+        log_path = tmp_path / "again.csv"
+        with pytest.raises(CheckpointError, match="epoch 1, so a run of 1 epochs"):
+            train(ds, SMALL_NET, again, resume_from=path, log_path=str(log_path))
+        assert not (tmp_path / "r").exists()
+        assert not log_path.exists()
 
     def test_resume_may_extend_epochs(self, tmp_path, checkpoint):
         ds, cfg, path = checkpoint
