@@ -19,14 +19,15 @@ import math
 
 import numpy as np
 
-from .container import is_int, read_container, write_container
+from .container import read_container, write_container
+from .errors import FringeDenoiseError, is_int
 from .network import NetworkConfig, NetworkParams, build_network, iter_tensors
 
 MAGIC = b"FPDC"
 VERSION = 1
 
 
-class CheckpointError(ValueError):
+class CheckpointError(FringeDenoiseError):
     pass
 
 

@@ -4,7 +4,7 @@ Subcommands: simulate, dataset, train, denoise, metrics, skeletonize.
 Every command is a pure function of its inputs, configuration and seed;
 rerunning with the same arguments reproduces the output artifacts byte for
 byte (timing columns aside).  Exit codes: 0 success, 1 usage error, 2 data
-error.
+error (``FringeDenoiseError`` or ``OSError``); any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import load_checkpoint
 from .config import ConfigError, RunConfig, load_config
 from .corpus import generate_corpus, load_corpus, write_json
-from .dataset import AUG_CODES, DatasetError, PackedDataset, build_dataset, write_packed
-from .image_io import ImageFormatError, read_image, write_image
-from .layers import ShapeError
+from .dataset import AUG_CODES, PackedDataset, build_dataset, write_packed
+from .errors import FringeDenoiseError
+from .image_io import read_image, write_image
 from .network import denoise as run_denoise
 from .quality import binarize, mae, psnr, ssim_mean, thin
 from .speckle import normalize_to_range
@@ -32,19 +32,6 @@ from .training import train
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
-
-_DATA_ERRORS = (
-    ConfigError,
-    ImageFormatError,
-    CheckpointError,
-    DatasetError,
-    ShapeError,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-    PermissionError,
-    ValueError,
-)
 
 
 class UsageError(Exception):
@@ -131,8 +118,7 @@ def cmd_dataset(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     ds = PackedDataset(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # train() creates it once the resume checks pass
     train_cfg = cfg.train_config(checkpoint_dir=out)
     log_path = out / "training_log.csv"
     params, log = train(
@@ -251,20 +237,15 @@ def build_parser() -> _Parser:
 
 def cli_dispatch(argv: list[str]) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return USAGE_EXIT
-    try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, FringeDenoiseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
+        if args is None:  # the arguments themselves did not parse
+            parser.print_usage(sys.stderr)
+        return USAGE_EXIT if isinstance(exc, UsageError) else DATA_EXIT
 
 
 def main() -> None:

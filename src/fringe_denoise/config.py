@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dataset import IN_PLACE
+from .errors import FringeDenoiseError, check_fields
 from .network import NetworkConfig
 from .training import TrainConfig
 
 
-class ConfigError(ValueError):
+class ConfigError(FringeDenoiseError):
     pass
 
 
@@ -40,8 +41,29 @@ class SimulateConfig:
     awgn_mode: str = IN_PLACE
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.count < 1:
             raise ConfigError(f"simulate.count must be >= 1, got {self.count}")
+        if min(self.width, self.height) < 1:
+            raise ConfigError(
+                f"simulate.width and height must be >= 1, got {self.width}x{self.height}"
+            )
+        if not 1 <= self.min_terms <= self.max_terms:
+            raise ConfigError(
+                f"simulate needs 1 <= min_terms <= max_terms, got "
+                f"{self.min_terms} and {self.max_terms}"
+            )
+        (a_lo, a_hi), (n_lo, n_hi) = self.a0c_sq_range, self.ned_lambda_range
+        if not (0 < a_lo <= a_hi and 0 <= n_lo <= n_hi):
+            raise ConfigError(
+                f"simulate needs 0 < a0c_sq_range[0] <= [1] and 0 <= ned_lambda_range[0] "
+                f"<= [1], got {self.a0c_sq_range} and {self.ned_lambda_range}"
+            )
+        if not (self.ar_sq > 0 and self.awgn_sigma >= 0):
+            raise ConfigError(
+                f"simulate.ar_sq must be > 0 and awgn_sigma >= 0, got "
+                f"{self.ar_sq} and {self.awgn_sigma}"
+            )
         if self.awgn_mode not in (IN_PLACE, "append"):
             raise ConfigError(
                 f"simulate.awgn_mode must be 'in_place' or 'append', got {self.awgn_mode!r}"
@@ -58,6 +80,11 @@ class RunConfig:
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def train_config(self, checkpoint_dir=None) -> TrainConfig:
         return dataclasses.replace(
@@ -88,8 +115,6 @@ _TRAIN_KEYS = {
              "max_patches": "eval_max_patches"},
 }
 
-_TUPLE_FIELDS = {"a0c_sq_range", "ned_lambda_range"}
-
 
 def _section_kwargs(data: dict, name: str, keys: dict) -> dict:
     """Section ``name`` of ``data`` as keyword arguments renamed by ``keys``."""
@@ -100,8 +125,8 @@ def _section_kwargs(data: dict, name: str, keys: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown key{'s' if len(unknown) > 1 else ''} "
                           f"{', '.join(name + '.' + k for k in unknown)}")
-    return {keys[k]: tuple(v) if k in _TUPLE_FIELDS and isinstance(v, list) else v
-            for k, v in body.items()}
+    # JSON arrays become tuples; the field check then refuses any but pairs.
+    return {keys[k]: tuple(v) if isinstance(v, list) else v for k, v in body.items()}
 
 
 def _build(cls, kwargs: dict, where: str):
@@ -110,7 +135,7 @@ def _build(cls, kwargs: dict, where: str):
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(f"bad {where} section: {exc}") from exc
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -122,22 +147,21 @@ def config_from_dict(data: dict) -> RunConfig:
                           f"{', '.join(unknown)}")
     if "seed" not in data:
         raise ConfigError("the master 'seed' is mandatory")
-    seed = data["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
     sections = {}
     for name, cls in _SECTIONS.items():
         names = {f.name: f.name for f in dataclasses.fields(cls)}
-        sections[name] = _build(cls, _section_kwargs(data, name, names), name)
-    train = {"seed": seed}
+        sections[name] = _build(cls, _section_kwargs(data, name, names), f"{name} section")
+    # The seed reaches the training run through RunConfig.train_config().
+    train = {}
     for name, keys in _TRAIN_KEYS.items():
         train.update(_section_kwargs(data, name, keys))
-    return RunConfig(seed=seed, train=_build(TrainConfig, train, "train"), **sections)
+    sections["train"] = _build(TrainConfig, train, "train section")
+    return _build(RunConfig, {"seed": data["seed"], **sections}, "run config")
 
 
 def load_config(path) -> RunConfig:
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 is a ValueError too
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)

@@ -74,8 +74,3 @@ def read_container(
     if size == start:  # older numpy cannot map zero bytes at the end of a file
         return header, np.zeros(0, dtype=np.uint8)
     return header, np.memmap(path, dtype=np.uint8, mode="r", offset=start)
-
-
-def is_int(value, least: int = 0) -> bool:
-    """True for a JSON integer (not a boolean) of at least ``least``."""
-    return type(value) is int and value >= least

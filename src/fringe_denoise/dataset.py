@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import is_int, read_container, write_container
+from .container import read_container, write_container
+from .errors import FringeDenoiseError, is_int
 from .image_io import FPD1_HEADER_BYTES, decode_fpd1, encode_fpd1
 
 AUG_NONE = 0
@@ -42,7 +43,7 @@ EXPAND = "expand"
 IN_PLACE = "in_place"
 
 
-class DatasetError(ValueError):
+class DatasetError(FringeDenoiseError):
     pass
 
 
@@ -116,6 +117,10 @@ def build_dataset(
     assigns augmentations round-robin over the grid (deterministic, no
     randomness involved).
     """
+    if not (is_int(patch_size, 1) and is_int(stride, 1)):
+        raise DatasetError(
+            f"patch size and stride must be integers >= 1, got {patch_size!r} and {stride!r}"
+        )
     if mode not in (EXPAND, IN_PLACE):
         raise DatasetError(f"unknown augmentation mode {mode!r}")
     augs = list(dict.fromkeys(augmentations))

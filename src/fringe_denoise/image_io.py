@@ -14,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import FringeDenoiseError
 
-class ImageFormatError(ValueError):
+
+class ImageFormatError(FringeDenoiseError):
     """Base for all image parsing failures."""
 
 

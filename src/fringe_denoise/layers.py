@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FringeDenoiseError
+
 TRAIN = "train"
 INFER = "infer"
 
 
-class ShapeError(ValueError):
+class ShapeError(FringeDenoiseError):
     """Operand shapes are inconsistent with the operation's contract."""
 
 

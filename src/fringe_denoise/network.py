@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_fields
 from .layers import (
     INFER,
     TRAIN,
@@ -42,6 +43,7 @@ class NetworkConfig:
     alpha_rest: float = 0.5
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.stages < 1:
             raise ValueError(f"stages must be >= 1, got {self.stages}")
         if self.layers_per_stage < 3:

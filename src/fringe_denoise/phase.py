@@ -13,8 +13,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import FringeDenoiseError
 
-class PhaseSpecError(ValueError):
+
+class PhaseSpecError(FringeDenoiseError):
     pass
 
 

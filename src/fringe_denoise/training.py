@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import DatasetError
+from .errors import FringeDenoiseError, check_fields
 from .layers import TRAIN, INFER, ShapeError
 from .network import (
     NetworkConfig,
@@ -43,12 +45,17 @@ class TrainConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.batch_size < 2:
             raise ValueError(
                 f"batch_size must be >= 2 for batch statistics, got {self.batch_size}"
             )
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (self.learning_rate > 0 and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
+                and self.adam_eps > 0):
+            raise ValueError(
+                f"Adam needs learning_rate > 0, beta1 and beta2 in [0, 1) and adam_eps > 0, "
+                f"got {self.learning_rate}, {self.beta1}, {self.beta2} and {self.adam_eps}"
+            )
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -70,7 +77,7 @@ class AdamState:
         return state
 
 
-class NonFiniteLossError(ValueError):
+class NonFiniteLossError(FringeDenoiseError):
     """A training batch gave a NaN or infinite loss, or a held-out patch
     denoised to NaN or infinite values."""
 
@@ -220,7 +227,7 @@ def train(
     from .checkpoint import CheckpointError, config_digest, load_checkpoint, save_checkpoint
 
     if len(dataset) < train_config.batch_size:
-        raise ValueError(
+        raise DatasetError(
             f"dataset has {len(dataset)} patches, fewer than one "
             f"batch of {train_config.batch_size}"
         )
@@ -255,7 +262,7 @@ def train(
         eval_idx = eval_idx[: train_config.eval_max_patches]
     q = num_batches(len(train_idx), train_config.batch_size)
     if q < 1:
-        raise ValueError(
+        raise DatasetError(
             f"train split of {len(train_idx)} patches is smaller than one batch"
         )
 

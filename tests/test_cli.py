@@ -1,12 +1,24 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fringe_denoise.checkpoint import save_checkpoint
+from fringe_denoise import cli
+from fringe_denoise.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from fringe_denoise.cli import cli_dispatch
-from fringe_denoise.dataset import build_dataset, write_packed
+from fringe_denoise.config import ConfigError, RunConfig, config_from_dict, load_config
+from fringe_denoise.dataset import DatasetError, PackedDataset, build_dataset, write_packed
 from fringe_denoise.image_io import decode_fpd1, encode_fpd1, read_image, write_image
 from fringe_denoise.network import (
     NetworkConfig,
@@ -15,7 +27,7 @@ from fringe_denoise.network import (
     iter_tensors,
     network_forward,
 )
-from fringe_denoise.training import TrainConfig, holdout_split
+from fringe_denoise.training import TrainConfig, holdout_split, train
 
 from framing import edit_header, read_header, replace_header
 
@@ -401,7 +413,7 @@ class TestExitCodes:
         resume = ["--resume", str(tmp_path / "a" / "ckpt_epoch_0001.fpdc")]
         assert cli_dispatch([*run, "--out", str(tmp_path / "b"), *resume]) == 2
         assert "epoch 1" in single_error_line(capsys)
-        assert not list((tmp_path / "b").iterdir())
+        assert not (tmp_path / "b").exists()
 
     def test_malformed_packed_dataset_is_data_error(self, tmp_path, capsys):
         corruptions = [
@@ -443,3 +455,328 @@ class TestExitCodes:
             assert rc == 2, k
             single_error_line(capsys)
         assert not (tmp_path / "out.fpd1").exists()
+
+
+# --- bad input that must surface as its module's typed error and exit 2
+
+def run_config_file(tmp_path, blob):
+    path = tmp_path / "run.json"
+    path.write_bytes(blob if isinstance(blob, bytes) else json.dumps(blob).encode())
+    return path
+
+
+def config_case(doc):
+    """A run-config document that ``config_from_dict`` and ``simulate`` refuse."""
+    def case(tmp_path):
+        path = run_config_file(tmp_path, doc)
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "corpus")]
+        return (lambda: config_from_dict(doc)), ConfigError, argv
+    return case
+
+
+def config_file_case(blob):
+    """A config file that ``load_config`` and ``simulate`` refuse."""
+    def case(tmp_path):
+        path = run_config_file(tmp_path, blob)
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "corpus")]
+        return (lambda: load_config(path)), ConfigError, argv
+    return case
+
+
+def negative_seed_case(tmp_path):
+    argv = ["simulate", "--seed", "-1", "--out", str(tmp_path / "corpus")]
+    return (lambda: RunConfig(seed=-1)), ConfigError, argv
+
+
+def small_dataset_case(sections):
+    """The 12 patches of ``train_inputs`` against a batch that does not fit."""
+    def case(tmp_path):
+        data, _ = train_inputs(tmp_path)
+        doc = {"seed": 5, "network": TINY_NET, **sections}
+        cfg = config_from_dict(doc)
+        path = run_config_file(tmp_path, doc)
+        argv = ["train", "--data", str(data), "--config", str(path), "--out", str(tmp_path / "o")]
+        return (lambda: train(PackedDataset(data), cfg.network, cfg.train_config())), \
+            DatasetError, argv
+    return case
+
+
+def float_filters_checkpoint_case(tmp_path):
+    model = zero_model(tmp_path)
+    edit_header(model, lambda h: h["network"].update(filters=2.0))
+    write_image(np.full((16, 16), 100.0), tmp_path / "in.fpd1")
+    argv = ["denoise", "--model", str(model), "--in", str(tmp_path / "in.fpd1"),
+            "--out", str(tmp_path / "out.fpd1")]
+    return (lambda: load_checkpoint(model)), CheckpointError, argv
+
+
+BAD_INPUT_CASES = {
+    "width-float": config_case({"seed": 1, "simulate": {"width": 2.5}}),
+    "range-of-three": config_case({"seed": 1, "simulate": {"a0c_sq_range": [1, 50, 150]}}),
+    "filters-float": config_case({"seed": 1, "network": {"filters": 2.0}}),
+    "epochs-float": config_case({"seed": 1, "train": {"epochs": 1.5}}),
+    "batch_size-float": config_case({"seed": 1, "train": {"batch_size": 2.5}}),
+    "deep-json-array": config_file_case(b"[" * 100_000 + b"]" * 100_000),
+    "non-utf8-file": config_file_case(b'{"seed": 1, "caf\xe9": 2}'),
+    "min_terms-above-max_terms": config_case(
+        {"seed": 1, "simulate": {"min_terms": 4, "max_terms": 3}}
+    ),
+    "negative-a0c_sq_range": config_case({"seed": 1, "simulate": {"a0c_sq_range": [-5, 10]}}),
+    "seed-minus-one": negative_seed_case,
+    "dataset-below-one-batch": small_dataset_case({"train": {"batch_size": 16, "epochs": 1}}),
+    "train-split-below-one-batch": small_dataset_case(
+        {"train": {"batch_size": 8, "epochs": 1}, "eval": {"holdout_fraction": 0.5}}
+    ),
+    "checkpoint-filters-float": float_filters_checkpoint_case,
+}
+
+
+class TestTypedInputErrors:
+    @pytest.mark.parametrize("case", BAD_INPUT_CASES.values(), ids=list(BAD_INPUT_CASES))
+    def test_bad_input_is_typed_and_exits_2(self, tmp_path, capsys, case):
+        call, error, argv = case(tmp_path)
+        with pytest.raises(error):
+            call()
+        assert cli_dispatch(argv) == 2
+        single_error_line(capsys)
+
+    def test_nan_awgn_sigma_writes_no_corpus(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(
+            '{"seed": 1, "simulate": {"count": 1, "width": 32, "height": 32, '
+            '"awgn_count": 1, "awgn_sigma": NaN}}'
+        )
+        out = tmp_path / "corpus"
+        assert cli_dispatch(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "awgn_sigma" in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_overflowing_learning_rate_is_refused_before_training(self, tmp_path, capsys):
+        data, _ = train_inputs(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(
+            f'{{"seed": 5, "network": {json.dumps(TINY_NET)}, '
+            '"train": {"batch_size": 4, "epochs": 1, "learning_rate": 1e400}}'
+        )
+        out = tmp_path / "o"
+        argv = ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]
+        assert cli_dispatch(argv) == 2
+        assert "learning_rate" in single_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("patch, stride", [("0", "8"), ("-4", "8"), ("8", "0")])
+    def test_patch_or_stride_below_one_writes_no_file(self, tmp_path, capsys, patch, stride):
+        corpus = tmp_path / "corpus"
+        for sub in ("clean", "noisy"):
+            (corpus / sub).mkdir(parents=True)
+            write_image(np.full((16, 16), 7.0), corpus / sub / "0000.fpd1")
+        out = tmp_path / "p.fpds"
+        rc = cli_dispatch(["dataset", "--corpus", str(corpus), "--out", str(out),
+                           "--patch", patch, "--stride", stride])
+        assert rc == 2
+        assert "patch size and stride" in single_error_line(capsys)
+        assert not list(tmp_path.glob("p.fpds*"))
+
+    def test_plain_value_error_is_a_bug_and_propagates(self, tmp_path, monkeypatch):
+        write_image(np.zeros((16, 16)), tmp_path / "a.fpd1")
+
+        def broken(*args):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "psnr", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            cli_dispatch(["metrics", "--ref", str(tmp_path / "a.fpd1"),
+                          "--test", str(tmp_path / "a.fpd1")])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_entry_point(*argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "fringe_denoise.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestEntryPoint:
+    def test_unknown_flag_exits_1(self):
+        result = run_entry_point("metrics", "--nope")
+        assert result.returncode == 1
+        assert "error:" in result.stderr and "Traceback" not in result.stderr
+
+    def test_missing_input_exits_2(self, tmp_path):
+        result = run_entry_point(
+            "skeletonize", "--in", str(tmp_path / "missing.pgm"), "--out", str(tmp_path / "s.pgm")
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+        assert not (tmp_path / "s.pgm").exists()
+
+
+# --- end-to-end fuzz over all six subcommands
+
+# Wrong types, booleans, null, lists, objects and non-finite numbers.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=3),
+    st.just({}), st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.floats(-3, 3),
+)
+
+
+def pair(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(sorted)
+
+
+# Section -> field -> (valid values, out-of-range values).  Every field that
+# sets a size or a duration is required, so no default (256² images, the
+# 64-filter paper network, 35 epochs) is ever used; valid values stay tiny.
+NONE = st.nothing()
+REQUIRED = {
+    "simulate": {"count": (st.integers(1, 3), st.integers(-1, 0)),
+                 "width": (st.integers(8, 48), st.integers(-1, 0)),
+                 "height": (st.integers(8, 48), st.integers(-1, 0))},
+    "network": {"stages": (st.integers(1, 2), st.just(0)),
+                "layers_per_stage": (st.integers(3, 4), st.just(2)),
+                "filters": (st.integers(1, 3), st.just(0)),
+                "kernel": (st.sampled_from([1, 3, 5]), st.sampled_from([-1, 0, 2]))},
+    "train": {"batch_size": (st.integers(2, 4), st.integers(0, 1) | st.integers(13, 20)),
+              "epochs": (st.integers(1, 2), st.just(0))},
+    "eval": {},
+}
+OPTIONAL = {
+    "simulate": {"a0c_sq_range": (pair(1, 200), pair(-5, 0) | st.just([150, 1])),
+                 "ned_lambda_range": (pair(0, 60), pair(-1, -0.1) | st.just([50, 0])),
+                 "ar_sq": (st.floats(0.1, 4), st.floats(-1, 0)),
+                 "phi_r": (st.floats(-4, 4), NONE),
+                 "index_origin": (st.integers(-3, 3), NONE),
+                 "min_terms": (st.integers(1, 2), st.integers(-1, 0)),
+                 "max_terms": (st.integers(2, 5), st.integers(-1, 0)),
+                 "awgn_count": (st.integers(0, 1), st.integers(-1, -1) | st.integers(4, 5)),
+                 "awgn_sigma": (st.floats(0, 30), st.floats(-1, -0.01)),
+                 "awgn_mode": (st.sampled_from(["in_place", "append"]), st.just("x"))},
+    "network": {"alpha_first": (st.floats(0, 1), st.floats(1.01, 2)),
+                "alpha_rest": (st.floats(0, 1), st.floats(-1, -0.01))},
+    "train": {"learning_rate": (st.floats(1e-5, 1e-2), st.floats(-1, 0)),
+              "beta1": (st.floats(0, 0.99), st.floats(1, 2)),
+              "beta2": (st.floats(0.5, 0.999), st.floats(-1, -0.01)),
+              "adam_eps": (st.floats(1e-9, 1e-3), st.just(0))},
+    "eval": {"every": (st.integers(0, 2), st.just(-1)),
+             "holdout_fraction": (st.floats(0, 0.5), st.floats(0.9, 1.5)),
+             "max_patches": (st.integers(0, 8), st.just(-1))},
+}
+
+
+def run_config(draw):
+    """A run-config document: well formed (mode 0), with out-of-range values
+    (mode 1), or also with wrong types and junk sections (mode 2)."""
+    mode = draw(st.integers(0, 2))
+
+    def value(valid, out_of_range):
+        return draw([valid, valid | out_of_range, valid | out_of_range | JUNK][mode])
+
+    if mode == 2 and draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    doc = {"seed": value(st.integers(0, 9), st.just(-1))}
+    for name, fields in REQUIRED.items():
+        if mode == 2 and draw(st.integers(0, 9)) == 0:
+            doc[name] = draw(JUNK)
+            continue
+        doc[name] = {k: value(*v) for k, v in fields.items()}
+        doc[name].update(
+            {k: value(*v) for k, v in OPTIONAL[name].items() if draw(st.booleans())}
+        )
+    if mode and draw(st.integers(0, 9)) == 0:
+        doc["stray"] = 1
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data, cfg_path = train_inputs(root)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_dispatch(["train", "--data", str(data), "--config", str(cfg_path),
+                             "--out", str(root / "trained")]) == 0
+    corpus = root / "corpus"
+    rng = np.random.default_rng(9)
+    for sub in ("clean", "noisy"):
+        (corpus / sub).mkdir(parents=True)
+        for k in range(2):
+            write_image(rng.uniform(0, 255, (24, 24)), corpus / sub / f"{k:04d}.fpd1")
+    write_image(rng.uniform(0, 255, (20, 20)), root / "good.fpd1")
+    write_image(rng.uniform(0, 255, (20, 20)), root / "good.pgm")
+    write_image(np.full((2, 2), 9.0), root / "tiny.pgm")
+    nan = np.full((20, 20), 5.0, dtype=np.float32)
+    nan[3, 3] = np.nan
+    (root / "nan.fpd1").write_bytes(encode_fpd1(nan))
+    missing = root / "missing"
+    images = [root / "good.fpd1", root / "good.pgm", root / "tiny.pgm", root / "nan.fpd1",
+              missing, cfg_path, corpus]
+    return {
+        "root": root,
+        "corpus": [corpus, corpus, missing, cfg_path],
+        "data": [data, data, missing, cfg_path],
+        "model": [root / "trained" / "ckpt_epoch_0001.fpdc", zero_model(root), missing,
+                  root / "good.fpd1"],
+        "image": images,
+    }
+
+
+def fuzz_argv(draw, inputs, work):
+    def pick(kind):
+        return str(draw(st.sampled_from(inputs[kind])))
+
+    def maybe(*tokens):
+        return list(tokens) if draw(st.booleans()) else []
+
+    def config():
+        path = work / "run.json"
+        path.write_text(json.dumps(run_config(draw)))
+        return str(path)
+
+    command = draw(st.sampled_from(
+        ["simulate", "dataset", "train", "denoise", "metrics", "skeletonize"]
+    ))
+    if command == "simulate":
+        # Without --config the defaults render 256² images: leave both out instead.
+        source = ["--config", config()] if draw(st.booleans()) else []
+        argv = ["--out", str(work / "corpus"), *source]
+        argv += maybe("--count", str(draw(st.integers(-1, 3))))
+        if source:
+            argv += maybe("--seed", str(draw(st.integers(-1, 9))))
+    elif command == "dataset":
+        argv = ["--corpus", pick("corpus"), "--out", str(work / "p.fpds"),
+                "--patch", str(draw(st.integers(-2, 30))),
+                "--stride", str(draw(st.integers(-2, 30)))]
+        argv += maybe("--augment", draw(st.sampled_from(
+            ["", "hflip", "rot90,rot180", "rot270,hflip", "hflip,vflip", "none"])))
+        argv += maybe("--augment-mode", draw(st.sampled_from(["expand", "in_place", "x"])))
+    elif command == "train":
+        argv = ["--data", pick("data"), "--config", config(), "--out", str(work / "run")]
+        argv += maybe("--seed", str(draw(st.integers(-1, 9))))
+        argv += maybe("--resume", pick("model"))
+    elif command == "denoise":
+        out = draw(st.sampled_from(["r.fpd1", "r.pgm", "r.png"]))
+        argv = ["--model", pick("model"), "--in", pick("image"), "--out", str(work / out)]
+    elif command == "metrics":
+        argv = ["--ref", pick("image"), "--test", pick("image"), *maybe("--pretty")]
+    else:
+        out = draw(st.sampled_from(["s.pgm", "s.fpd1", "s.txt"]))
+        argv = ["--in", pick("image"), "--out", str(work / out)]
+    return [command, *argv, *draw(st.sampled_from([[], [], [], [], ["--bogus"], ["extra"]]))]
+
+
+class TestCliFuzz:
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_exit_code_and_one_error_line(self, fuzz_inputs, data):
+        work = Path(tempfile.mkdtemp(dir=fuzz_inputs["root"]))
+        argv = fuzz_argv(data.draw, fuzz_inputs, work)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli_dispatch(argv)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert rc in (0, 1, 2), argv
+        assert len(errors) == (rc != 0), (argv, errors)

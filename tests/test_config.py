@@ -89,3 +89,78 @@ class TestRunConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("simulate", "awgn_sigma"), ("simulate", "ar_sq"), ("simulate", "phi_r"),
+            ("network", "alpha_first"), ("train", "learning_rate"), ("train", "beta2"),
+            ("eval", "holdout_fraction"),
+        ],
+    )
+    def test_non_finite_float_is_config_error(self, section, key, text):
+        doc = json.loads(f'{{"seed": 1, "{section}": {{"{key}": {text}}}}}')
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("text", ["[1, NaN]", "[Infinity, 2]", "[1, 1e400]"])
+    def test_non_finite_range_end_is_config_error(self, text):
+        doc = json.loads(f'{{"seed": 1, "simulate": {{"a0c_sq_range": {text}}}}}')
+        with pytest.raises(ConfigError, match="a0c_sq_range must be a pair"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section, body, match",
+        [
+            ("simulate", {"count": True}, "count must be an integer"),
+            ("simulate", {"ned_lambda_range": "ab"}, "ned_lambda_range must be a pair"),
+            ("network", {"alpha_rest": None}, "alpha_rest must be a finite number"),
+            ("eval", {"max_patches": "7"}, "max_patches must be an integer"),
+        ],
+    )
+    def test_wrong_type_is_config_error_naming_the_field(self, section, body, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict({"seed": 1, section: body})
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ({"width": 0}, "width and height"),
+            ({"height": -3}, "width and height"),
+            ({"min_terms": 0}, "min_terms"),
+            ({"a0c_sq_range": [5, 0]}, "a0c_sq_range"),
+            ({"ar_sq": 0}, "ar_sq"),
+            ({"ned_lambda_range": [0, -1]}, "ned_lambda_range"),
+            ({"a0c_sq_range": [150, 1]}, "a0c_sq_range"),
+            ({"ned_lambda_range": [50, 0]}, "ned_lambda_range"),
+            ({"awgn_sigma": -0.5}, "awgn_sigma"),
+        ],
+    )
+    def test_out_of_range_simulate_value_is_config_error(self, body, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict({"seed": 1, "simulate": body})
+
+    def test_range_edges_accepted(self):
+        cfg = config_from_dict({"seed": 0, "simulate": {
+            "width": 1, "height": 1, "min_terms": 1, "max_terms": 1,
+            "a0c_sq_range": [1e-9, 1e-9], "ned_lambda_range": [0, 0], "awgn_sigma": 0,
+        }})
+        assert cfg.simulate.min_terms == cfg.simulate.max_terms == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"learning_rate": 0}, {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1}, {"adam_eps": 0}],
+        ids=repr,
+    )
+    def test_adam_hyperparameter_out_of_range_is_config_error(self, body):
+        # beta1 = 1 zeroes Adam's bias correction, which makes the weights NaN.
+        with pytest.raises(ConfigError, match="Adam needs"):
+            config_from_dict({"seed": 1, "train": body})
+
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            config_from_dict({"seed": -1})
+

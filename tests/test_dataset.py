@@ -73,6 +73,13 @@ class TestGrid:
         with pytest.raises(DatasetError, match="image 0"):
             build_dataset(corpus, patch_size=80, stride=16)
 
+    @pytest.mark.parametrize(
+        "patch, stride", [(0, 8), (-4, 8), (8, 0), (8, -1), (8.0, 8), (8, True)]
+    )
+    def test_patch_and_stride_below_one_rejected(self, patch, stride):
+        with pytest.raises(DatasetError, match="patch size and stride"):
+            build_dataset(make_corpus(1, 16), patch_size=patch, stride=stride)
+
 
 class TestAugmentation:
     def test_expand_multiplies_count(self):
