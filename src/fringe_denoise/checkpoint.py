@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 
 import numpy as np
 
@@ -60,6 +59,25 @@ def config_digest(train_config) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
+def _stored_tensors(params: NetworkParams, adam) -> list[tuple[str, np.ndarray]]:
+    """Every tensor a checkpoint stores, in file order: the network's, then
+    the Adam first moments, then the second moments."""
+    tensors = list(iter_tensors(params))
+    if adam is not None:
+        tensors += [(f"adam.m.{k}", v) for k, v in adam.m.items()]
+        tensors += [(f"adam.v.{k}", v) for k, v in adam.v.items()]
+    return tensors
+
+
+def _directory(tensors) -> list[dict]:
+    """The header's (name, shape, offset) entries: tensors back to back."""
+    directory, offset = [], 0
+    for name, arr in tensors:
+        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += 4 * arr.size
+    return directory
+
+
 def save_checkpoint(
     path,
     params: NetworkParams,
@@ -69,15 +87,7 @@ def save_checkpoint(
     adam=None,
 ) -> None:
     """Atomic write: the file appears complete or not at all."""
-    tensors: list[tuple[str, np.ndarray]] = list(iter_tensors(params))
-    if adam is not None:
-        tensors += [(f"adam.m.{k}", v) for k, v in adam.m.items()]
-        tensors += [(f"adam.v.{k}", v) for k, v in adam.v.items()]
-    directory = []
-    offset = 0
-    for name, arr in tensors:
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += 4 * arr.size
+    tensors = _stored_tensors(params, adam)
     header = {
         "format_version": VERSION,
         "network": dataclasses.asdict(net_config),
@@ -85,7 +95,7 @@ def save_checkpoint(
         "epoch": epoch,
         "seed": getattr(train_config, "seed", None),
         "adam_t": adam.t if adam is not None else None,
-        "tensors": directory,
+        "tensors": _directory(tensors),
     }
     arrays = (np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in tensors)
     write_container(path, MAGIC, VERSION, header, arrays)
@@ -95,9 +105,11 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     """Returns (params, net_config, adam_state_or_None, meta).
 
     ``expect`` asserts the stored architecture; a mismatch is a hard error
-    rather than a silently reshaped model.  A NaN or infinite value in any
-    stored tensor is a ``CheckpointError``, so no command computes with it,
-    and so is a tensor directory whose entries do not lie back to back.
+    rather than a silently reshaped model.  The tensor directory must be
+    exactly the one ``save_checkpoint`` writes for the stored architecture
+    (with Adam moments when ``adam_t`` is set).  A NaN or infinite stored
+    value, or a negative batch-norm running variance, is a
+    ``CheckpointError``, so no command computes with it.
     """
     from .training import AdamState
 
@@ -122,53 +134,24 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     adam_t = header.get("adam_t")
     if not is_int(header["epoch"]) or not (adam_t is None or is_int(adam_t)):
         raise CheckpointError(f"{path}: epoch and adam_t must be non-negative integers")
-    if not isinstance(header["tensors"], list):
-        raise CheckpointError(f"{path}: tensor directory is not a list")
-    stored: dict[str, np.ndarray] = {}
-    offset = 0  # tensors are stored back to back in directory order
-    for entry in header["tensors"]:
-        if not isinstance(entry, dict) or not {"name", "shape", "offset"} <= entry.keys():
-            raise CheckpointError(
-                f"{path}: tensor directory entry {entry} is not an object with name, "
-                "shape and offset"
-            )
-        name, shape = entry["name"], entry["shape"]
-        if not (isinstance(name, str) and isinstance(shape, list) and all(map(is_int, shape))):
-            raise CheckpointError(f"{path}: tensor directory entry {entry} is malformed")
-        if entry["offset"] != offset:
-            raise CheckpointError(
-                f"{path}: tensor {name} is stored at offset {entry['offset']}, expected {offset}"
-            )
-        size = math.prod(shape)
-        if len(payload) < offset + 4 * size:
-            raise TruncatedError(f"{path}: tensor {name} payload is truncated")
-        arr = np.frombuffer(payload, dtype="<f4", count=size, offset=offset).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
-        stored[name] = arr.copy()
-        offset += 4 * size
-
     params = build_network(net_config, np.random.default_rng(0))
-    for name, arr in iter_tensors(params):
-        if name not in stored:
-            raise CheckpointError(f"{path}: tensor {name} missing from checkpoint")
-        if stored[name].shape != arr.shape:
-            raise ArchitectureMismatchError(
-                f"{path}: tensor {name} has shape {stored[name].shape}, "
-                f"expected {arr.shape}"
-            )
-        arr[:] = stored[name]
-
-    adam = None
-    if adam_t is not None:
-        adam = AdamState(t=adam_t)
-        for name, _ in iter_tensors(params, trainable_only=True):
-            for moments, key in ((adam.m, f"adam.m.{name}"), (adam.v, f"adam.v.{name}")):
-                if key not in stored:
-                    raise CheckpointError(
-                        f"{path}: header sets adam_t but tensor {key} is missing"
-                    )
-                moments[name] = stored[key].copy()
+    adam = None if adam_t is None else AdamState.for_params(params)
+    tensors = _stored_tensors(params, adam)
+    directory = _directory(tensors)
+    if header["tensors"] != directory:
+        raise CheckpointError(f"{path}: tensor directory does not match network and adam_t")
+    if len(payload) < 4 * sum(arr.size for _, arr in tensors):
+        raise TruncatedError(f"{path}: tensor payload is truncated")
+    for (name, arr), entry in zip(tensors, directory):
+        values = np.frombuffer(payload, dtype="<f4", count=arr.size, offset=entry["offset"])
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
+        # BatchNormParams' rule; its own check saw only build_network's defaults.
+        if name.endswith(".running_var") and (values < 0).any():
+            raise CheckpointError(f"{path}: tensor {name} has negative variances")
+        arr[:] = values.reshape(arr.shape)
+    if adam is not None:
+        adam.t = adam_t
     meta = {
         "epoch": header["epoch"],
         "seed": header["seed"],

@@ -147,8 +147,14 @@ def read_image(path) -> np.ndarray:
 
 
 def write_image(img: np.ndarray, path) -> None:
-    """Write by extension: ``.pgm`` as 8-bit PGM, ``.fpd1`` as raw floats."""
+    """Write by extension: ``.pgm`` as 8-bit PGM, ``.fpd1`` as raw floats.
+
+    An image with a NaN or infinite pixel is refused before the file is
+    opened, so no command writes non-finite output.
+    """
     path = Path(path)
+    if not np.isfinite(img).all():
+        raise ImageFormatError(f"{path}: refusing to write an image with non-finite pixels")
     if path.suffix == ".pgm":
         path.write_bytes(encode_pgm(img))
     elif path.suffix == ".fpd1":

@@ -26,7 +26,7 @@ from .network import (
     network_backward,
     network_forward,
 )
-from .quality import mae, psnr, ssim_mean
+from .quality import SSIM_WINDOW, mae, psnr, ssim_mean
 from .seeding import derive_rng
 
 
@@ -265,6 +265,14 @@ def train(
         raise DatasetError(
             f"train split of {len(train_idx)} patches is smaller than one batch"
         )
+    if train_config.eval_every > 0 and len(eval_idx):
+        h, w = dataset[int(eval_idx[0])][0].shape
+        if min(h, w) < SSIM_WINDOW:
+            raise DatasetError(
+                f"held-out patches are {h}x{w}, smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} "
+                "SSIM window (quality.SSIM_WINDOW) that evaluation needs; a "
+                "holdout_fraction of 0 trains on them without held-out metrics"
+            )
 
     log: list[dict] = []
     ckpt_dir = Path(train_config.checkpoint_dir) if train_config.checkpoint_dir else None

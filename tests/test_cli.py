@@ -589,6 +589,67 @@ class TestTypedInputErrors:
                           "--test", str(tmp_path / "a.fpd1")])
 
 
+def denoise_argv(tmp_path, model):
+    write_image(np.full((20, 20), 100.0), tmp_path / "in.fpd1")
+    return ["denoise", "--model", str(model), "--in", str(tmp_path / "in.fpd1"),
+            "--out", str(tmp_path / "out.fpd1")]
+
+
+class TestNoNonFiniteOutput:
+    """Commands refuse, with exit 2 and no output file, what would write NaN."""
+
+    def test_simulate_overflowing_phase_writes_no_manifest(self, tmp_path, capsys):
+        cfg_path = run_config_file(tmp_path, {"seed": 1, "simulate": {
+            "count": 1, "width": 32, "height": 32,
+            "a0c_sq_range": [1e300, 1e300], "ar_sq": 1e10,
+        }})
+        out = tmp_path / "corpus"
+        assert cli_dispatch(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "non-finite" in single_error_line(capsys)
+        assert not (out / "manifest.json").exists()
+        assert not list(out.rglob("*.fpd1"))
+
+    def test_denoise_with_overflowing_weights_writes_no_output(self, tmp_path):
+        cfg = NetworkConfig(**TINY_NET)
+        params = build_network(cfg, np.random.default_rng(0))
+        for name, arr in iter_tensors(params):
+            if name.endswith("conv.weights"):
+                arr[:] = 1e30  # finite in float32; the forward pass overflows
+        model = tmp_path / "big.fpdc"
+        save_checkpoint(model, params, cfg, TrainConfig(seed=0), epoch=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_dispatch(denoise_argv(tmp_path, model)) == 2
+        assert not (tmp_path / "out.fpd1").exists()
+
+    def test_denoise_with_negative_running_variance_writes_no_output(self, tmp_path, capsys):
+        cfg = NetworkConfig(**TINY_NET)
+        params = build_network(cfg, np.random.default_rng(0))
+        next(a for n, a in iter_tensors(params) if n.endswith("running_var"))[:] = -1.0
+        model = tmp_path / "negvar.fpdc"
+        save_checkpoint(model, params, cfg, TrainConfig(seed=0), epoch=0)
+        assert cli_dispatch(denoise_argv(tmp_path, model)) == 2
+        assert "running_var has negative" in single_error_line(capsys)
+        assert not (tmp_path / "out.fpd1").exists()
+
+    def test_train_on_patches_below_ssim_window_writes_nothing(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        corpus = [
+            (img, img + rng.normal(0, 20, img.shape).astype(np.float32))
+            for img in rng.uniform(0, 255, (4, 16, 16)).astype(np.float32)
+        ]
+        data = tmp_path / "patches.fpds"
+        write_packed(data, build_dataset(corpus, patch_size=8, stride=8))
+        cfg_path = run_config_file(
+            tmp_path, {"seed": 5, "network": TINY_NET, "train": {"batch_size": 4, "epochs": 1}}
+        )
+        out = tmp_path / "o"
+        argv = ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]
+        assert cli_dispatch(argv) == 2
+        assert "patches are 8x8" in single_error_line(capsys)
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("*.fpdc"))
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

@@ -112,6 +112,18 @@ class TestDispatch:
             write_image(np.zeros((2, 2)), tmp_path / "img.png")
 
 
+class TestWriteRefusesNonFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("suffix", [".pgm", ".fpd1"])
+    def test_non_finite_pixel_writes_no_file(self, tmp_path, value, suffix):
+        img = np.full((3, 4), 100.0)
+        img[1, 2] = value
+        path = tmp_path / f"img{suffix}"
+        with pytest.raises(ImageFormatError, match="non-finite"):
+            write_image(img, path)
+        assert not list(tmp_path.iterdir())
+
+
 def _valid_blob(data, fmt: str) -> bytes:
     h = data.draw(st.integers(1, 6), label="height")
     w = data.draw(st.integers(1, 6), label="width")

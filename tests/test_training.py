@@ -17,7 +17,7 @@ from fringe_denoise.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from fringe_denoise.dataset import build_dataset
+from fringe_denoise.dataset import DatasetError, build_dataset
 from fringe_denoise.layers import TRAIN
 from fringe_denoise.network import (
     NetworkConfig,
@@ -38,7 +38,7 @@ from fringe_denoise.training import (
     train,
 )
 
-from framing import edit_header
+from framing import edit_header, read_header
 from oracles import finite_diff_grad, rel_err
 
 SMALL_NET = NetworkConfig(stages=1, layers_per_stage=3, filters=2, kernel=3)
@@ -457,3 +457,72 @@ class TestTrainGuards:
         longer = dataclasses.replace(cfg, epochs=3, checkpoint_dir=str(tmp_path / "r"))
         _, log = train(ds, SMALL_NET, longer, resume_from=path)
         assert [row["epoch"] for row in log] == [2, 3]
+
+
+def swap_first_two(tensors) -> None:
+    """Swap two directory entries and lay all offsets back to back again."""
+    tensors[0], tensors[1] = tensors[1], tensors[0]
+    offset = 0
+    for entry in tensors:
+        entry["offset"] = offset
+        offset += 4 * math.prod(entry["shape"])
+
+
+class TestCheckpointDirectoryIsExact:
+    """Only the directory ``save_checkpoint`` writes for the header's
+    architecture and ``adam_t`` loads."""
+
+    def test_extra_entry_with_its_payload_is_refused(self, tmp_path):
+        path = saved_checkpoint(tmp_path / "net.fpdc")
+        end = sum(4 * math.prod(e["shape"]) for e in read_header(path)["tensors"])
+        edit_header(
+            path, lambda h: h["tensors"].append({"name": "extra", "shape": [2], "offset": end})
+        )
+        path.write_bytes(path.read_bytes() + np.zeros(2, "<f4").tobytes())
+        with pytest.raises(CheckpointError, match="tensor directory"):
+            load_checkpoint(path)
+
+    def test_swapped_entries_are_refused(self, tmp_path):
+        path = saved_checkpoint(tmp_path / "net.fpdc")
+        edit_header(path, lambda h: swap_first_two(h["tensors"]))
+        with pytest.raises(CheckpointError, match="tensor directory"):
+            load_checkpoint(path)
+
+    def test_moments_without_adam_t_are_refused(self, tmp_path):
+        path = saved_checkpoint(tmp_path / "net.fpdc")
+        edit_header(path, lambda h: h.update(adam_t=None))
+        with pytest.raises(CheckpointError, match="tensor directory"):
+            load_checkpoint(path)
+
+    def test_negative_running_variance_is_refused(self, tmp_path):
+        params = build_network(SMALL_NET, np.random.default_rng(6))
+        name, var = next((n, a) for n, a in iter_tensors(params) if n.endswith("running_var"))
+        var[0] = -1.0
+        path = tmp_path / "net.fpdc"
+        save_checkpoint(path, params, SMALL_NET, TrainConfig(seed=0), epoch=1)
+        with pytest.raises(CheckpointError, match=f"{name} has negative"):
+            load_checkpoint(path)
+
+
+class TestSsimWindowGuard:
+    def test_patches_below_window_are_refused_before_training(self, tmp_path, monkeypatch):
+        import fringe_denoise.training as training
+
+        def forward(*args, **kwargs):
+            raise AssertionError("network_forward ran")
+
+        monkeypatch.setattr(training, "network_forward", forward)
+        ds = toy_dataset(n_images=6, patch=8, stride=8, seed=3)
+        cfg = TrainConfig(batch_size=4, epochs=1, seed=13, checkpoint_dir=str(tmp_path / "c"))
+        with pytest.raises(DatasetError, match=r"8x8, smaller than the 11x11 SSIM window"):
+            train(ds, SMALL_NET, cfg, log_path=str(tmp_path / "log.csv"))
+        assert not list(tmp_path.iterdir())
+
+    def test_small_patches_train_without_held_out_set(self, tmp_path):
+        ds = toy_dataset(n_images=6, patch=8, stride=8, seed=3)
+        cfg = TrainConfig(
+            batch_size=4, epochs=1, seed=13, holdout_fraction=0.0, checkpoint_dir=str(tmp_path)
+        )
+        _, log = train(ds, SMALL_NET, cfg)
+        assert list(log[0]) == ["epoch", "mean_loss", "seconds"]
+        assert (tmp_path / "ckpt_epoch_0001.fpdc").exists()
