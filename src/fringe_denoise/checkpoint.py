@@ -97,8 +97,7 @@ def save_checkpoint(
         "adam_t": adam.t if adam is not None else None,
         "tensors": _directory(tensors),
     }
-    arrays = (np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in tensors)
-    write_container(path, MAGIC, VERSION, header, arrays)
+    write_container(path, MAGIC, VERSION, header, (arr for _, arr in tensors), CheckpointError)
 
 
 def load_checkpoint(path, expect: NetworkConfig | None = None):
@@ -108,8 +107,8 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     rather than a silently reshaped model.  The tensor directory must be
     exactly the one ``save_checkpoint`` writes for the stored architecture
     (with Adam moments when ``adam_t`` is set).  A NaN or infinite stored
-    value, or a negative batch-norm running variance, is a
-    ``CheckpointError``, so no command computes with it.
+    value, or a negative batch-norm running variance or Adam second moment,
+    is a ``CheckpointError``, so no command computes with it.
     """
     from .training import AdamState
 
@@ -137,18 +136,20 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     params = build_network(net_config, np.random.default_rng(0))
     adam = None if adam_t is None else AdamState.for_params(params)
     tensors = _stored_tensors(params, adam)
-    directory = _directory(tensors)
-    if header["tensors"] != directory:
+    if header["tensors"] != _directory(tensors):
         raise CheckpointError(f"{path}: tensor directory does not match network and adam_t")
-    if len(payload) < 4 * sum(arr.size for _, arr in tensors):
+    if payload.size < sum(arr.size for _, arr in tensors):
         raise TruncatedError(f"{path}: tensor payload is truncated")
-    for (name, arr), entry in zip(tensors, directory):
-        values = np.frombuffer(payload, dtype="<f4", count=arr.size, offset=entry["offset"])
+    start = 0
+    for name, arr in tensors:
+        values = payload[start : start + arr.size]
+        start += arr.size
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: tensor {name} has non-finite values")
-        # BatchNormParams' rule; its own check saw only build_network's defaults.
-        if name.endswith(".running_var") and (values < 0).any():
-            raise CheckpointError(f"{path}: tensor {name} has negative variances")
+        # Variances and Adam's second moments are means of squares; BatchNormParams'
+        # own check saw only build_network's defaults.
+        if (name.endswith(".running_var") or name.startswith("adam.v.")) and (values < 0).any():
+            raise CheckpointError(f"{path}: tensor {name} has negative values")
         arr[:] = values.reshape(arr.shape)
     if adam is not None:
         adam.t = adam_t

@@ -1,10 +1,11 @@
 """Framed binary container shared by packed datasets and checkpoints.
 
 Layout: 4-byte magic, then u32 format version and u32 header length (both
-little-endian), an ASCII JSON object header, then the payload.  The magic,
-version and header keys belong to the calling format; this module owns
-only the framing, so every file in this layout is written and checked the
-same way.
+little-endian), an ASCII JSON object header, then the payload: arrays as
+little-endian float32, back to back.  The magic, version, header keys and
+the payload's shapes belong to the calling format; this module owns the
+framing and the payload encoding, so every file in this layout is written
+and checked the same way.
 """
 
 from __future__ import annotations
@@ -19,18 +20,25 @@ import numpy as np
 PRELUDE = struct.Struct("<4sII")
 
 
-def write_container(path, magic: bytes, version: int, header: dict, chunks) -> None:
-    """Write the framing, then the payload byte strings ``chunks`` in order.
+def write_container(
+    path, magic: bytes, version: int, header: dict, arrays, error: type[Exception]
+) -> None:
+    """Write the framing, then each of ``arrays`` as little-endian float32.
 
+    A value that is NaN or infinite once stored as float32 raises ``error``.
     The write is atomic: the file appears complete or not at all.
     """
     blob = json.dumps(header, sort_keys=True).encode("ascii")
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "wb") as fh, np.errstate(over="ignore"):  # overflow is refused below
             fh.write(PRELUDE.pack(magic, version, len(blob)) + blob)
-            fh.writelines(chunks)
+            for arr in arrays:
+                arr = np.ascontiguousarray(arr, dtype="<f4")
+                if not np.isfinite(arr).all():
+                    raise error(f"{path}: refusing to write values that are not finite in float32")
+                fh.write(arr.tobytes())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -41,7 +49,7 @@ def read_container(
     path, magic: bytes, version: int, required: tuple[str, ...], error: type[Exception], *,
     bad_magic=None, bad_version=None, truncated=None,
 ) -> tuple[dict, np.ndarray]:
-    """Returns (header, payload) with the payload as a read-only uint8 map.
+    """Returns (header, payload) with the payload as a read-only float32 map.
 
     Every failure raises one of the caller's error classes: ``bad_magic``,
     ``bad_version`` and ``truncated`` default to ``error``, which also
@@ -71,6 +79,8 @@ def read_container(
     for key in required:
         if key not in header:
             raise error(f"{path}: header has no {key!r} entry")
-    if size == start:  # older numpy cannot map zero bytes at the end of a file
-        return header, np.zeros(0, dtype=np.uint8)
-    return header, np.memmap(path, dtype=np.uint8, mode="r", offset=start)
+    count = (size - start) // 4  # a partial trailing value is not part of the payload
+    if count == 0:  # older numpy cannot map zero bytes at the end of a file
+        return header, np.zeros(0, dtype="<f4")
+    # A plain ndarray view of the map: np.memmap's own indexing costs microseconds a call.
+    return header, np.asarray(np.memmap(path, dtype="<f4", mode="r", offset=start, shape=(count,)))

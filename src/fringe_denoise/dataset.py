@@ -8,21 +8,19 @@ at any time; nothing about patch content is stored in the in-memory
 dataset.
 
 The packed on-disk form uses the shared container framing
-(``container.py``) with magic ``FPDS``; its payload is the concatenation
-of float-image blobs, two per pair, enabling random access by index (all
-blobs have equal size) and memory-mapped streaming of large datasets.
+(``container.py``) with magic ``FPDS``; its payload is one
+``(count, 2, patch, patch)`` float32 array of clean/noisy pairs, enabling
+random access by index and memory-mapped streaming of large datasets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .container import read_container, write_container
 from .errors import FringeDenoiseError, is_int
-from .image_io import FPD1_HEADER_BYTES, decode_fpd1, encode_fpd1
 
 AUG_NONE = 0
 AUG_HFLIP = 1
@@ -156,16 +154,16 @@ def build_dataset(
 # --- packed on-disk form ----------------------------------------------------
 
 PACKED_MAGIC = b"FPDS"
-PACKED_VERSION = 1
+PACKED_VERSION = 2
 
 
 def write_packed(path, dataset) -> None:
     """Serialize any (len, getitem, provenance) dataset to the packed form.
 
-    The write is atomic: a dataset that fails partway leaves no file.
+    The write is atomic: a dataset that fails partway, or holds a value that
+    is not finite in float32, leaves no file.
     """
     header = {
-        "version": PACKED_VERSION,
         "patch_size": dataset.patch_size,
         "stride": dataset.stride,
         "count": len(dataset),
@@ -173,8 +171,8 @@ def write_packed(path, dataset) -> None:
             [ref.source, ref.row, ref.col, ref.aug] for ref in dataset.provenance
         ],
     }
-    blobs = (encode_fpd1(img) for i in range(len(dataset)) for img in dataset[i])
-    write_container(path, PACKED_MAGIC, PACKED_VERSION, header, blobs)
+    patches = (img for i in range(len(dataset)) for img in dataset[i])
+    write_container(path, PACKED_MAGIC, PACKED_VERSION, header, patches, DatasetError)
 
 
 def _is_record(entry) -> bool:
@@ -189,7 +187,6 @@ class PackedDataset:
     """Random access into a packed dataset file via a memory map."""
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
         header, payload = read_container(
             path, PACKED_MAGIC, PACKED_VERSION, ("patch_size", "stride", "count", "provenance"),
             DatasetError,
@@ -214,13 +211,12 @@ class PackedDataset:
                 f"{path}: header count {self._count} disagrees with "
                 f"{len(self.provenance)} provenance records"
             )
-        self._blob_bytes = FPD1_HEADER_BYTES + 4 * self.patch_size * self.patch_size
-        expected = self._count * 2 * self._blob_bytes
+        expected = self._count * 2 * self.patch_size**2
         if payload.size < expected:
             raise DatasetError(
-                f"{path}: truncated payload ({payload.size} bytes, expected {expected})"
+                f"{path}: truncated payload ({payload.size} values, expected {expected})"
             )
-        self._payload = payload
+        self._pairs = payload[:expected].reshape(self._count, 2, self.patch_size, self.patch_size)
 
     def __len__(self) -> int:
         return self._count
@@ -228,13 +224,4 @@ class PackedDataset:
     def __getitem__(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= idx < self._count:
             raise IndexError(idx)
-        p, n = self.patch_size, self._blob_bytes
-        off = idx * 2 * n
-        clean = decode_fpd1(bytes(self._payload[off : off + n]))
-        noisy = decode_fpd1(bytes(self._payload[off + n : off + 2 * n]))
-        if clean.shape != (p, p) or noisy.shape != (p, p):
-            raise DatasetError(
-                f"{self.path}: patch pair {idx} decodes to shapes {clean.shape} and "
-                f"{noisy.shape}, expected ({p}, {p})"
-            )
-        return clean, noisy
+        return tuple(np.array(self._pairs[idx], dtype=np.float32))  # one owned copy of the pair

@@ -149,17 +149,18 @@ def read_image(path) -> np.ndarray:
 def write_image(img: np.ndarray, path) -> None:
     """Write by extension: ``.pgm`` as 8-bit PGM, ``.fpd1`` as raw floats.
 
-    An image with a NaN or infinite pixel is refused before the file is
-    opened, so no command writes non-finite output.
+    An image with a pixel that is NaN or infinite in the precision the
+    format stores (float64 before PGM quantization, float32 for ``.fpd1``)
+    is refused before the file is opened, so no command writes non-finite
+    output.
     """
     path = Path(path)
-    if not np.isfinite(img).all():
-        raise ImageFormatError(f"{path}: refusing to write an image with non-finite pixels")
-    if path.suffix == ".pgm":
-        path.write_bytes(encode_pgm(img))
-    elif path.suffix == ".fpd1":
-        path.write_bytes(encode_fpd1(img))
-    else:
+    if path.suffix not in (".pgm", ".fpd1"):
         raise ImageFormatError(
             f"{path}: unknown image extension {path.suffix!r} (use .pgm or .fpd1)"
         )
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        stored = np.asarray(img, dtype=np.float64 if path.suffix == ".pgm" else "<f4")
+    if not np.isfinite(stored).all():
+        raise ImageFormatError(f"{path}: refusing to write an image with non-finite pixels")
+    path.write_bytes(encode_pgm(stored) if path.suffix == ".pgm" else encode_fpd1(stored))

@@ -226,11 +226,6 @@ def train(
     """
     from .checkpoint import CheckpointError, config_digest, load_checkpoint, save_checkpoint
 
-    if len(dataset) < train_config.batch_size:
-        raise DatasetError(
-            f"dataset has {len(dataset)} patches, fewer than one "
-            f"batch of {train_config.batch_size}"
-        )
     start_epoch = 1
     if resume_from is not None:
         params, _, adam, meta = load_checkpoint(resume_from, expect=net_config)
@@ -263,7 +258,8 @@ def train(
     q = num_batches(len(train_idx), train_config.batch_size)
     if q < 1:
         raise DatasetError(
-            f"train split of {len(train_idx)} patches is smaller than one batch"
+            f"dataset of {len(dataset)} patches leaves a train split of {len(train_idx)}, "
+            f"fewer than one batch of {train_config.batch_size}"
         )
     if train_config.eval_every > 0 and len(eval_idx):
         h, w = dataset[int(eval_idx[0])][0].shape

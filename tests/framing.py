@@ -1,4 +1,4 @@
-"""Test helpers that rewrite the JSON header of a framed file in place.
+"""Test helpers that write framed files or rewrite their JSON header in place.
 
 Packed datasets and checkpoints share one prelude: 4-byte magic, u32
 version, u32 header length (little-endian), then the header.  These
@@ -8,6 +8,8 @@ package's container module.
 
 import json
 import struct
+
+import numpy as np
 
 
 def read_header(path) -> dict:
@@ -30,3 +32,25 @@ def edit_header(path, edit) -> None:
     header = read_header(path)
     edit(header)
     replace_header(path, json.dumps(header, sort_keys=True))
+
+
+
+def write_packed_raw(path, dataset, version=2) -> None:
+    """Write ``dataset`` in the packed layout of format ``version``, with no
+    check on its values.  Version 2 stores the pairs as one float32 array.
+    The retired version 1 has a ``"version"`` header key and, per patch, one
+    FPD1 image (magic, u32 width, u32 height, float32 pixels)."""
+    p = dataset.patch_size
+    header = {
+        "patch_size": p, "stride": dataset.stride, "count": len(dataset),
+        "provenance": [[r.source, r.row, r.col, r.aug] for r in dataset.provenance],
+    }
+    image = b""
+    if version == 1:
+        header["version"] = 1
+        image = b"FPD1" + struct.pack("<II", p, p)
+    text = json.dumps(header, sort_keys=True).encode("ascii")
+    payload = b"".join(
+        image + np.asarray(img, "<f4").tobytes() for i in range(len(dataset)) for img in dataset[i]
+    )
+    path.write_bytes(struct.pack("<4sII", b"FPDS", version, len(text)) + text + payload)

@@ -29,7 +29,7 @@ from fringe_denoise.network import (
 )
 from fringe_denoise.training import TrainConfig, holdout_split, train
 
-from framing import edit_header, read_header, replace_header
+from framing import edit_header, read_header, replace_header, write_packed_raw
 
 TINY_NET = {"stages": 1, "layers_per_stage": 3, "filters": 2, "kernel": 3}
 
@@ -85,14 +85,10 @@ def single_error_line(capsys) -> str:
     return lines[0]
 
 
-def reshape_every_blob(path) -> None:
-    """Give the 24 blobs (12 pairs) of ``train_inputs`` an 8x18 header in place
-    of 12x12: same size, wrong shape."""
-    blob = bytearray(path.read_bytes())
-    size = 12 + 4 * 12 * 12
-    for start in range(len(blob) - size, 0, -size)[: 2 * 12]:
-        blob[start + 4 : start + 12] = struct.pack("<II", 8, 18)
-    path.write_bytes(bytes(blob))
+def say_version_1(path) -> None:
+    """Rewrite the prelude's format version to 1, keeping everything else."""
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
 
 
 class TestMetricsCommand:
@@ -345,7 +341,7 @@ class TestExitCodes:
 
         for _, noisy in corpus:
             noisy[0, 0] = np.nan
-        write_packed(data, build_dataset(corpus, patch_size=12, stride=12))
+        write_packed_raw(data, build_dataset(corpus, patch_size=12, stride=12))
         rc = cli_dispatch(
             ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(tmp_path / "c")]
         )
@@ -364,7 +360,7 @@ class TestExitCodes:
         for i in held:  # NaN in held-out sources only: training itself runs clean
             ds.corpus[ds.provenance[int(i)].source][1][0, 0] = np.nan
         data = tmp_path / "patches.bin"
-        write_packed(data, ds)
+        write_packed_raw(data, ds)
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({
             "seed": 5, "network": TINY_NET, "train": {"batch_size": 4, "epochs": 1},
@@ -424,7 +420,7 @@ class TestExitCodes:
             lambda p: replace_header(p, "7"),
             lambda p: p.write_bytes(b""),
             lambda p: p.write_bytes(p.read_bytes()[:6]),
-            reshape_every_blob,
+            say_version_1,
         ]
         for k, corrupt in enumerate(corruptions):
             data, cfg_path = train_inputs(tmp_path)
@@ -435,6 +431,38 @@ class TestExitCodes:
             )
             assert rc == 2, k
             single_error_line(capsys)
+
+    def test_version_1_packed_dataset_is_data_error(self, tmp_path, capsys):
+        data, cfg_path = train_inputs(tmp_path)
+        write_packed_raw(data, PackedDataset(data), version=1)
+        out = tmp_path / "o"
+        argv = ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]
+        assert cli_dispatch(argv) == 2
+        assert "format version 1, expected 2" in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_resume_with_negative_adam_moment_writes_nothing(self, tmp_path, capsys):
+        data, cfg_path = train_inputs(tmp_path)
+        run = ["train", "--data", str(data), "--config", str(cfg_path)]
+        assert cli_dispatch([*run, "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "a" / "ckpt_epoch_0001.fpdc"
+        header = read_header(ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        start = len(blob) - 4 * sum(int(np.prod(e["shape"])) for e in header["tensors"])
+        moments = [e for e in header["tensors"] if e["name"].startswith("adam.v.")]
+        for entry in moments:
+            at = start + entry["offset"]
+            size = int(np.prod(entry["shape"]))
+            blob[at : at + 4 * size] = np.full(size, -1.0, "<f4").tobytes()
+        ckpt.write_bytes(bytes(blob))
+        doc = json.loads(cfg_path.read_text())
+        doc["train"]["epochs"] = 2  # one epoch left to train, so only the moments are wrong
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "b"
+        assert cli_dispatch([*run, "--out", str(out), "--resume", str(ckpt)]) == 2
+        assert f"{moments[0]['name']} has negative" in single_error_line(capsys)
+        assert not out.exists()
 
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys):
         write_image(np.full((16, 16), 100.0), tmp_path / "in.fpd1")
@@ -630,6 +658,27 @@ class TestNoNonFiniteOutput:
         assert cli_dispatch(denoise_argv(tmp_path, model)) == 2
         assert "running_var has negative" in single_error_line(capsys)
         assert not (tmp_path / "out.fpd1").exists()
+
+    def test_train_with_weights_beyond_float32_writes_no_checkpoint(self, tmp_path, capsys):
+        """One batch per epoch at learning rate 1e39 leaves infinite weights,
+        which the epoch's checkpoint write refuses."""
+        rng = np.random.default_rng(4)
+        corpus = [
+            (img, img + rng.normal(0, 20, img.shape).astype(np.float32))
+            for img in rng.uniform(0, 255, (2, 24, 24)).astype(np.float32)
+        ]
+        data = tmp_path / "patches.fpds"
+        write_packed(data, build_dataset(corpus, patch_size=12, stride=12))
+        cfg_path = run_config_file(tmp_path, {
+            "seed": 5, "network": TINY_NET, "eval": {"holdout_fraction": 0},
+            "train": {"batch_size": 8, "epochs": 1, "learning_rate": 1e39},
+        })
+        out = tmp_path / "o"
+        argv = ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]
+        with np.errstate(over="ignore"):
+            assert cli_dispatch(argv) == 2
+        assert "not finite in float32" in single_error_line(capsys)
+        assert not list(tmp_path.rglob("*.fpdc"))
 
     def test_train_on_patches_below_ssim_window_writes_nothing(self, tmp_path, capsys):
         rng = np.random.default_rng(4)

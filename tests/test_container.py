@@ -19,9 +19,10 @@ from fringe_denoise.training import AdamState
 from framing import replace_header
 
 PIN_NET = NetworkConfig(stages=1, layers_per_stage=3, filters=2, kernel=3)
-# Digests of the files below as written before the framing moved into one
-# module; a change needs a format version bump.
-PACKED_SHA256 = "4c88fade3c86077420f34dcd44511db3b06429e4e729263ee21e0670889142e3"
+# Digests of the files below: the checkpoint as written before the framing
+# moved into one module, the packed dataset as written since its format
+# version 2 (one float32 pair array).  A change needs a format version bump.
+PACKED_SHA256 = "8d8e48b03277cc94aaef241528bf57ac7c96b87ca61b54cc29d6fb7665bf3b9e"
 CHECKPOINT_SHA256 = "aca4f428778a6d9e7e47915148f91b36db370acfdb92940bb766c627b1318b0e"
 
 

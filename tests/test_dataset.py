@@ -1,5 +1,4 @@
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from fringe_denoise.dataset import (
 )
 from fringe_denoise.image_io import ImageFormatError
 
-from framing import edit_header, replace_header
+from framing import edit_header, read_header, replace_header, write_packed_raw
 
 
 def make_corpus(n, size, seed=0):
@@ -206,17 +205,43 @@ class TestPackedHeaderChecks:
         with pytest.raises(DatasetError):
             PackedDataset(path)
 
-    def test_blob_of_other_shape_is_dataset_error(self, tmp_path):
-        """An 8x32 blob has the byte size of a 16x16 one, but is not a patch."""
-        path = packed_16(tmp_path)
-        blob = bytearray(path.read_bytes())
-        start = len(blob) - 4 * 2 * (12 + 4 * 16 * 16)  # first blob of four pairs
-        blob[start + 4 : start + 12] = struct.pack("<II", 8, 32)
-        path.write_bytes(bytes(blob))
-        packed = PackedDataset(path)
-        with pytest.raises(DatasetError, match="patch pair 0"):
-            packed[0]
-        assert packed[1][0].shape == (16, 16)
+
+class TestPackedVersion2:
+    """Version 2 stores the pairs as one (count, 2, patch, patch) float32 array."""
+
+    def test_layout(self, tmp_path):
+        ds = build_dataset(make_corpus(1, 32, seed=3), patch_size=16, stride=16)
+        write_packed(tmp_path / "lib.bin", ds)
+        write_packed_raw(tmp_path / "raw.bin", ds)
+        assert (tmp_path / "lib.bin").read_bytes() == (tmp_path / "raw.bin").read_bytes()
+        assert sorted(read_header(tmp_path / "lib.bin")) == [
+            "count", "patch_size", "provenance", "stride",
+        ]
+
+    def test_version_1_file_is_refused(self, tmp_path):
+        path = tmp_path / "patches.bin"
+        ds = build_dataset(make_corpus(1, 32, seed=3), patch_size=16, stride=16)
+        write_packed_raw(path, ds, version=1)
+        with pytest.raises(DatasetError, match="format version 1, expected 2"):
+            PackedDataset(path)
+
+    def test_patches_are_writable_copies(self, tmp_path):
+        packed = PackedDataset(packed_16(tmp_path))
+        clean, noisy = packed[1]
+        for img in (clean, noisy):
+            assert type(img) is np.ndarray and img.dtype == np.float32 and img.flags.writeable
+        expect = [clean.copy(), noisy.copy()]
+        clean[...] = -1.0
+        noisy[...] = -1.0
+        for got, want in zip(packed[1], expect):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39], ids=["nan", "inf", "above-float32"])
+    def test_value_not_finite_in_float32_writes_no_file(self, tmp_path, value):
+        corpus = [(np.full((16, 16), value), np.full((16, 16), 1.0))]
+        with pytest.raises(DatasetError, match="not finite in float32"):
+            write_packed(tmp_path / "patches.bin", build_dataset(corpus, patch_size=8, stride=8))
+        assert not list(tmp_path.iterdir())
 
 
 class TestPackedFuzz:

@@ -123,6 +123,16 @@ class TestWriteRefusesNonFinite:
             write_image(img, path)
         assert not list(tmp_path.iterdir())
 
+    def test_finiteness_is_checked_in_the_stored_precision(self, tmp_path):
+        """1e39 is a finite float64 but infinite as the float32 ``.fpd1`` stores;
+        PGM quantizes from float64 and clamps it to 255."""
+        img = np.full((2, 2), 1e39)
+        with pytest.raises(ImageFormatError, match="non-finite"):
+            write_image(img, tmp_path / "o.fpd1")
+        assert not list(tmp_path.iterdir())
+        write_image(img, tmp_path / "o.pgm")
+        np.testing.assert_array_equal(read_image(tmp_path / "o.pgm"), np.full((2, 2), 255.0))
+
 
 def _valid_blob(data, fmt: str) -> bytes:
     h = data.draw(st.integers(1, 6), label="height")

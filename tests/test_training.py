@@ -182,6 +182,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="fewer"):
             train(ds, SMALL_NET, TrainConfig(batch_size=64, epochs=1, seed=0))
 
+    def test_batch_check_names_dataset_split_and_batch(self):
+        """One check, after the held-out split, names all three sizes."""
+        ds = toy_dataset(n_images=4)  # 16 patches, 4 per source image
+        cfg = TrainConfig(batch_size=16, epochs=1, seed=0, holdout_fraction=0.25)
+        with pytest.raises(DatasetError, match="dataset of 16 patches leaves a train split "
+                           "of 12, fewer than one batch of 16"):
+            train(ds, SMALL_NET, cfg)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -502,6 +510,29 @@ class TestCheckpointDirectoryIsExact:
         save_checkpoint(path, params, SMALL_NET, TrainConfig(seed=0), epoch=1)
         with pytest.raises(CheckpointError, match=f"{name} has negative"):
             load_checkpoint(path)
+
+    def test_negative_adam_second_moment_is_refused(self, tmp_path):
+        params = build_network(SMALL_NET, np.random.default_rng(6))
+        adam = AdamState.for_params(params)
+        name = next(iter(adam.v))
+        adam.v[name][...] = -1.0
+        path = tmp_path / "net.fpdc"
+        save_checkpoint(path, params, SMALL_NET, TrainConfig(seed=0), epoch=1, adam=adam)
+        with pytest.raises(CheckpointError, match=f"adam.v.{name} has negative"):
+            load_checkpoint(path)
+
+
+class TestNonFiniteWrite:
+    """Checkpoints store float32: a value that is not finite there is refused
+    and leaves no file."""
+
+    @pytest.mark.parametrize("value", [np.nan, 1e39], ids=["nan", "above-float32"])
+    def test_weight_not_finite_in_float32_is_refused(self, tmp_path, value):
+        params = build_network(SMALL_NET, np.random.default_rng(6), np.float64)
+        next(arr for _, arr in iter_tensors(params))[0] = value
+        with pytest.raises(CheckpointError, match="not finite in float32"):
+            save_checkpoint(tmp_path / "net.fpdc", params, SMALL_NET)
+        assert not list(tmp_path.iterdir())
 
 
 class TestSsimWindowGuard:
