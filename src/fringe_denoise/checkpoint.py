@@ -30,22 +30,6 @@ class CheckpointError(FringeDenoiseError):
     pass
 
 
-class BadMagicError(CheckpointError):
-    pass
-
-
-class VersionError(CheckpointError):
-    pass
-
-
-class TruncatedError(CheckpointError):
-    pass
-
-
-class ArchitectureMismatchError(CheckpointError):
-    pass
-
-
 def config_digest(train_config) -> str:
     """Digest of the hyperparameters a resumed run must share.
 
@@ -112,11 +96,8 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     """
     from .training import AdamState
 
-    header, payload = read_container(
-        path, MAGIC, VERSION, ("network", "tensors", "epoch", "seed", "train_digest"),
-        CheckpointError, bad_magic=BadMagicError, bad_version=VersionError,
-        truncated=TruncatedError,
-    )
+    required = ("network", "tensors", "epoch", "seed", "train_digest")
+    header, payload = read_container(path, MAGIC, VERSION, required, CheckpointError)
     try:
         network = dict(header["network"])
         # Older headers name the stage wiring; the noise chain is the only one.
@@ -126,7 +107,7 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad network architecture in header: {exc}") from exc
     if expect is not None and net_config != expect:
-        raise ArchitectureMismatchError(
+        raise CheckpointError(
             f"{path}: checkpoint architecture {header['network']} does not match "
             f"the expected {dataclasses.asdict(expect)}"
         )
@@ -139,7 +120,7 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     if header["tensors"] != _directory(tensors):
         raise CheckpointError(f"{path}: tensor directory does not match network and adam_t")
     if payload.size < sum(arr.size for _, arr in tensors):
-        raise TruncatedError(f"{path}: tensor payload is truncated")
+        raise CheckpointError(f"{path}: tensor payload is truncated")
     start = 0
     for name, arr in tensors:
         values = payload[start : start + arr.size]

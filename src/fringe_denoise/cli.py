@@ -118,7 +118,7 @@ def cmd_dataset(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     ds = PackedDataset(args.data)
-    out = Path(args.out)  # train() creates it once the resume checks pass
+    out = Path(args.out)  # train() creates it after its first epoch
     train_cfg = cfg.train_config(checkpoint_dir=out)
     log_path = out / "training_log.csv"
     params, log = train(

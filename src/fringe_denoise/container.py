@@ -46,29 +46,27 @@ def write_container(
 
 
 def read_container(
-    path, magic: bytes, version: int, required: tuple[str, ...], error: type[Exception], *,
-    bad_magic=None, bad_version=None, truncated=None,
+    path, magic: bytes, version: int, required: tuple[str, ...], error: type[Exception]
 ) -> tuple[dict, np.ndarray]:
     """Returns (header, payload) with the payload as a read-only float32 map.
 
-    Every failure raises one of the caller's error classes: ``bad_magic``,
-    ``bad_version`` and ``truncated`` default to ``error``, which also
-    covers a header that is not an ASCII JSON object holding ``required``.
+    Every failure raises the caller's ``error``: a bad magic or version, a
+    truncated prelude or header, or a header that is not an ASCII JSON
+    object holding ``required``.
     """
-    bad_magic, bad_version, truncated = (c or error for c in (bad_magic, bad_version, truncated))
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         prelude = fh.read(PRELUDE.size)
         if prelude[:4] != magic:
-            raise bad_magic(f"{path}: bad magic {prelude[:4]!r}, expected {magic!r}")
+            raise error(f"{path}: bad magic {prelude[:4]!r}, expected {magic!r}")
         if len(prelude) < PRELUDE.size:
-            raise truncated(f"{path}: file ends inside its prelude")
+            raise error(f"{path}: file ends inside its prelude")
         _, found, hlen = PRELUDE.unpack(prelude)
         if found != version:
-            raise bad_version(f"{path}: format version {found}, expected {version}")
+            raise error(f"{path}: format version {found}, expected {version}")
         start = PRELUDE.size + hlen
         if size < start:
-            raise truncated(f"{path}: JSON header is truncated")
+            raise error(f"{path}: JSON header is truncated")
         text = fh.read(hlen)
     try:
         header = json.loads(text.decode("ascii"))

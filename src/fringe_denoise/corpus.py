@@ -63,50 +63,43 @@ def generate_pair(
 
 
 def generate_corpus(cfg: SimulateConfig, master_seed: int, out_dir) -> dict:
-    """Write the corpus tree and return its manifest."""
+    """Write the corpus tree and return its manifest.
+
+    Each pair is written as soon as it is made, so memory does not grow with
+    ``cfg.count``.  The appended AWGN copy of the k-th selected id (counting
+    up from id 0) gets id ``count + k``; its record follows the base records.
+    """
     out = Path(out_dir)
     (out / "clean").mkdir(parents=True, exist_ok=True)
     (out / "noisy").mkdir(parents=True, exist_ok=True)
-    records = []
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    chooser = derive_rng(master_seed, NS_CORPUS, 0)
+    selected = set(chooser.permutation(cfg.count)[: cfg.awgn_count].tolist())
+    records, appended = [], []
     for image_id in range(cfg.count):
         clean, noisy, record = generate_pair(cfg, master_seed, image_id)
-        pairs.append((clean, noisy))
-        records.append(record)
-
-    if cfg.awgn_count:
-        chooser = derive_rng(master_seed, NS_CORPUS, 0)
-        selected = chooser.permutation(cfg.count)[: cfg.awgn_count]
-        for image_id in sorted(int(i) for i in selected):
+        if image_id in selected:
             # Own derived stream per id: the substitution stays a pure
             # function of (seed, id) like everything else about the pair.
             awgn_rng = derive_rng(master_seed, NS_AWGN, image_id)
-            clean = pairs[image_id][0]
             corrupted = add_awgn(clean, cfg.awgn_sigma, awgn_rng)
             if cfg.awgn_mode == "in_place":
-                pairs[image_id] = (clean, corrupted)
-                records[image_id]["awgn"] = True
+                noisy = corrupted
+                record["awgn"] = True
             else:
-                new_id = len(pairs)
-                pairs.append((clean, corrupted))
-                records.append(
-                    {
-                        "id": new_id,
-                        "source_id": image_id,
-                        "awgn": True,
-                        "awgn_sigma": cfg.awgn_sigma,
-                    }
+                new_id = cfg.count + len(appended)
+                _write_pair(out, new_id, clean, corrupted)
+                appended.append(
+                    {"id": new_id, "source_id": image_id, "awgn": True, "awgn_sigma": cfg.awgn_sigma}
                 )
+        _write_pair(out, image_id, clean, noisy)
+        records.append(record)
+    records += appended
+    return {"seed": master_seed, "count": len(records), "images": records}
 
-    for image_id, (clean, noisy) in enumerate(pairs):
-        write_image(clean, out / "clean" / f"{image_id:04d}.fpd1")
-        write_image(noisy, out / "noisy" / f"{image_id:04d}.fpd1")
-    manifest = {
-        "seed": master_seed,
-        "count": len(pairs),
-        "images": records,
-    }
-    return manifest
+
+def _write_pair(out: Path, image_id: int, clean: np.ndarray, noisy: np.ndarray) -> None:
+    write_image(clean, out / "clean" / f"{image_id:04d}.fpd1")
+    write_image(noisy, out / "noisy" / f"{image_id:04d}.fpd1")
 
 
 def load_corpus(corpus_dir) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -18,19 +18,7 @@ from .errors import FringeDenoiseError
 
 
 class ImageFormatError(FringeDenoiseError):
-    """Base for all image parsing failures."""
-
-
-class BadMagicError(ImageFormatError):
-    pass
-
-
-class TruncatedFileError(ImageFormatError):
-    pass
-
-
-class UnsupportedMaxvalError(ImageFormatError):
-    pass
+    """An image file or image that cannot be read or written."""
 
 
 FPD1_MAGIC = b"FPD1"
@@ -65,7 +53,7 @@ def _pgm_tokens(buf: bytes, start: int):
     while end < len(buf) and not buf[end : end + 1].isspace():
         end += 1
     if end == pos:
-        raise TruncatedFileError("PGM header ended before all fields were read")
+        raise ImageFormatError("PGM header ended before all fields were read")
     return buf[pos:end], end
 
 
@@ -76,7 +64,7 @@ def _check_dims(width: int, height: int) -> None:
 
 def decode_pgm(buf: bytes) -> np.ndarray:
     if buf[:2] != b"P5":
-        raise BadMagicError(f"not a binary PGM (magic {buf[:2]!r})")
+        raise ImageFormatError(f"not a binary PGM (magic {buf[:2]!r})")
     pos = 2
     fields = []
     for _ in range(3):
@@ -90,11 +78,11 @@ def decode_pgm(buf: bytes) -> np.ndarray:
     width, height, maxval = fields
     _check_dims(width, height)
     if maxval != 255:
-        raise UnsupportedMaxvalError(f"only maxval 255 is supported, got {maxval}")
+        raise ImageFormatError(f"only maxval 255 is supported, got {maxval}")
     pos += 1  # exactly one whitespace byte separates header and raster
     raster = buf[pos : pos + width * height]
     if len(raster) < width * height:
-        raise TruncatedFileError(
+        raise ImageFormatError(
             f"PGM raster has {len(raster)} bytes, expected {width * height}"
         )
     return (
@@ -116,14 +104,14 @@ def encode_fpd1(img: np.ndarray) -> bytes:
 
 def decode_fpd1(buf: bytes) -> np.ndarray:
     if buf[:4] != FPD1_MAGIC:
-        raise BadMagicError(f"not a float image (magic {buf[:4]!r})")
+        raise ImageFormatError(f"not a float image (magic {buf[:4]!r})")
     if len(buf) < FPD1_HEADER_BYTES:
-        raise TruncatedFileError("float image header is incomplete")
+        raise ImageFormatError("float image header is incomplete")
     w, h = struct.unpack("<II", buf[4:12])
     _check_dims(w, h)
     payload = buf[FPD1_HEADER_BYTES : FPD1_HEADER_BYTES + 4 * w * h]
     if len(payload) < 4 * w * h:
-        raise TruncatedFileError(
+        raise ImageFormatError(
             f"float image payload has {len(payload)} bytes, expected {4 * w * h}"
         )
     return np.frombuffer(payload, dtype="<f4").reshape(h, w).astype(np.float32)
@@ -143,7 +131,7 @@ def read_image(path) -> np.ndarray:
         return img.astype(np.float64)
     if buf[:2] == b"P5":
         return decode_pgm(buf)
-    raise BadMagicError(f"{path}: unrecognized image magic {buf[:4]!r}")
+    raise ImageFormatError(f"{path}: unrecognized image magic {buf[:4]!r}")
 
 
 def write_image(img: np.ndarray, path) -> None:

@@ -69,12 +69,11 @@ class BatchNormParams:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
-    momentum: float = 0.9
+    # Class constants, not fields: checkpoints store neither.
+    epsilon = 1e-5
+    momentum = 0.9
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if np.any(self.running_var < 0):
             raise ValueError("running_var must be nonnegative")
 

@@ -78,8 +78,8 @@ class AdamState:
 
 
 class NonFiniteLossError(FringeDenoiseError):
-    """A training batch gave a NaN or infinite loss, or a held-out patch
-    denoised to NaN or infinite values."""
+    """A training batch gave a NaN or infinite loss, an Adam step left a
+    weight NaN or infinite, or a held-out patch denoised to such values."""
 
 
 def euclid_loss(
@@ -272,8 +272,6 @@ def train(
 
     log: list[dict] = []
     ckpt_dir = Path(train_config.checkpoint_dir) if train_config.checkpoint_dir else None
-    if ckpt_dir:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     for epoch in range(start_epoch, train_config.epochs + 1):
         t0 = time.perf_counter()
@@ -291,6 +289,12 @@ def train(
                 )
             grads = network_backward(caches, grad_v, params, net_config)
             adam_step(params, grads, adam, train_config)
+            for path, arr in iter_tensors(params, trainable_only=True):
+                if not np.isfinite(arr).all():
+                    raise NonFiniteLossError(
+                        f"epoch {epoch}, batch {b + 1}: the Adam step left {path} not "
+                        f"finite in {arr.dtype}; lower the learning rate"
+                    )
             losses[b] = loss
         row: dict = {"epoch": epoch, "mean_loss": float(losses.mean())}
         is_eval = train_config.eval_every > 0 and epoch % train_config.eval_every == 0
@@ -301,6 +305,8 @@ def train(
             row.update(psnr=p, ssim=s, mae=m)
         row["seconds"] = time.perf_counter() - t0
         log.append(row)
+        if ckpt_dir:  # only now, so a run refused in its first epoch leaves no directory
+            ckpt_dir.mkdir(parents=True, exist_ok=True)
         if is_eval and ckpt_dir:
             save_checkpoint(
                 ckpt_dir / f"ckpt_epoch_{epoch:04d}.fpdc",

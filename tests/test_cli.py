@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -697,6 +698,56 @@ class TestNoNonFiniteOutput:
         assert "patches are 8x8" in single_error_line(capsys)
         assert not out.exists()
         assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("*.fpdc"))
+
+
+class TestRefusedFirstEpochLeavesNoOut:
+    """A run refused during its first epoch exits 2 and creates no ``--out``."""
+
+    def run_train(self, tmp_path, corpus, config, nan_sources=()):
+        ds = build_dataset(corpus, patch_size=12, stride=12)
+        for source in nan_sources:
+            ds.corpus[source][1][0, 0] = np.nan
+        data = tmp_path / "patches.fpds"
+        write_packed_raw(data, ds)
+        cfg_path = run_config_file(tmp_path, {"seed": 5, "network": TINY_NET, **config})
+        out = tmp_path / "o"
+        argv = ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_dispatch(argv) == 2
+        assert not out.exists()
+
+    @staticmethod
+    def noisy_corpus(n):
+        rng = np.random.default_rng(4)
+        return [
+            (img, img + rng.normal(0, 20, img.shape).astype(np.float32))
+            for img in rng.uniform(0, 255, (n, 24, 24)).astype(np.float32)
+        ]
+
+    def test_nan_batch_loss(self, tmp_path, capsys):
+        corpus = self.noisy_corpus(3)
+        self.run_train(tmp_path, corpus, {"train": {"batch_size": 4, "epochs": 1}},
+                       nan_sources=range(3))
+        assert "loss is nan" in single_error_line(capsys)
+
+    def test_nan_held_out_patch(self, tmp_path, capsys):
+        corpus = self.noisy_corpus(6)
+        ds = build_dataset(corpus, patch_size=12, stride=12)
+        _, held = holdout_split(ds, 0.5, 5)  # NaN in held-out sources only
+        held_sources = {ds.provenance[int(i)].source for i in held}
+        self.run_train(tmp_path, corpus, {
+            "train": {"batch_size": 4, "epochs": 1}, "eval": {"holdout_fraction": 0.5},
+        }, nan_sources=held_sources)
+        assert "held-out patch" in single_error_line(capsys)
+
+    def test_adam_step_beyond_float32(self, tmp_path, capsys):
+        corpus = self.noisy_corpus(2)
+        self.run_train(tmp_path, corpus, {
+            "train": {"batch_size": 8, "epochs": 1, "learning_rate": 1e39},
+            "eval": {"every": 0, "holdout_fraction": 0},
+        })
+        assert re.search(r"epoch 1, batch 1: the Adam step left s00\.l\d\d\.\S+ not finite "
+                         "in float32", single_error_line(capsys))
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

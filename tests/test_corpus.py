@@ -1,0 +1,94 @@
+"""The corpus writer: what ``generate_corpus`` writes, and when it writes it."""
+
+import numpy as np
+import pytest
+
+from fringe_denoise import corpus
+from fringe_denoise.config import SimulateConfig
+from fringe_denoise.corpus import NS_AWGN, NS_CORPUS, generate_corpus, generate_pair
+from fringe_denoise.image_io import encode_fpd1, write_image
+from fringe_denoise.seeding import derive_rng
+from fringe_denoise.speckle import add_awgn
+
+SEED = 11
+MODES = {
+    "no-awgn": {},
+    "in_place": {"awgn_count": 3, "awgn_mode": "in_place"},
+    "append": {"awgn_count": 3, "awgn_mode": "append"},
+}
+
+
+def small_config(mode: str) -> SimulateConfig:
+    return SimulateConfig(count=6, width=32, height=24, awgn_sigma=7.5, **MODES[mode])
+
+
+def expected_corpus(cfg: SimulateConfig, seed: int):
+    """Files (id -> clean, noisy) and manifest records, built per id from
+    ``generate_pair``, ``add_awgn`` and the ``NS_CORPUS`` selection alone."""
+    chosen = derive_rng(seed, NS_CORPUS, 0).permutation(cfg.count)[: cfg.awgn_count]
+    files, records, appended = {}, [], []
+    for image_id in range(cfg.count):
+        clean, noisy, record = generate_pair(cfg, seed, image_id)
+        files[image_id] = (clean, noisy)
+        records.append(record)
+    for source in sorted(int(i) for i in chosen):
+        clean = files[source][0]
+        corrupted = add_awgn(clean, cfg.awgn_sigma, derive_rng(seed, NS_AWGN, source))
+        if cfg.awgn_mode == "in_place":
+            files[source] = (clean, corrupted)
+            records[source]["awgn"] = True
+        else:
+            new_id = cfg.count + len(appended)
+            files[new_id] = (clean, corrupted)
+            appended.append(
+                {"id": new_id, "source_id": source, "awgn": True, "awgn_sigma": cfg.awgn_sigma}
+            )
+    return files, records + appended
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_every_file_and_record_matches_its_per_id_recipe(tmp_path, mode):
+    cfg = small_config(mode)
+    manifest = generate_corpus(cfg, SEED, tmp_path)
+    files, records = expected_corpus(cfg, SEED)
+    assert manifest == {"seed": SEED, "count": len(files), "images": records}
+    for sub, member in (("clean", 0), ("noisy", 1)):
+        written = sorted(p.name for p in (tmp_path / sub).iterdir())
+        assert written == [f"{i:04d}.fpd1" for i in sorted(files)]
+        for image_id, pair in files.items():
+            path = tmp_path / sub / f"{image_id:04d}.fpd1"
+            assert path.read_bytes() == encode_fpd1(np.asarray(pair[member], "<f4")), path
+    if mode == "append":
+        extra = [r for r in manifest["images"] if "source_id" in r]
+        assert [r["id"] for r in extra] == list(range(cfg.count, cfg.count + cfg.awgn_count))
+        sources = [r["source_id"] for r in extra]
+        assert sources == sorted(sources) and len(set(sources)) == cfg.awgn_count
+    if mode == "in_place":
+        assert sum(r["awgn"] for r in manifest["images"]) == cfg.awgn_count
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_each_pair_is_written_before_the_next_is_made(tmp_path, monkeypatch, mode):
+    cfg = small_config(mode)
+    events = []
+
+    def recording_pair(cfg, master_seed, image_id):
+        events.append(("make", image_id))
+        return generate_pair(cfg, master_seed, image_id)
+
+    def recording_write(img, path):
+        events.append(("write", int(path.stem)))
+        write_image(img, path)
+
+    monkeypatch.setattr(corpus, "generate_pair", recording_pair)
+    monkeypatch.setattr(corpus, "write_image", recording_write)
+    manifest = generate_corpus(cfg, SEED, tmp_path)
+    copies = {r["source_id"]: r["id"] for r in manifest["images"] if "source_id" in r}
+    made = {image_id: events.index(("make", image_id)) for image_id in range(cfg.count)}
+    for image_id in range(cfg.count):
+        ids = {image_id, copies.get(image_id, image_id)}
+        writes = [n for n, event in enumerate(events) if event[0] == "write" and event[1] in ids]
+        assert len(writes) == 2 * len(ids)
+        assert made[image_id] < min(writes)
+        if image_id + 1 < cfg.count:
+            assert max(writes) < made[image_id + 1], (image_id, events)
