@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -115,6 +116,20 @@ def cmd_dataset(args) -> int:
     return 0
 
 
+def numeric_environment() -> dict:
+    """The numpy build and the threads and CPUs it may use: what float
+    results and timings of a run depend on beyond its inputs."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "cpus": len(os.sched_getaffinity(0)),
+    }
+
+
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     ds = PackedDataset(args.data)
@@ -132,6 +147,7 @@ def cmd_train(args) -> int:
         "resumed_from": args.resume,
         "artifacts": {p.name: sha256_file(p) for p in checkpoints},
         "training_log": log_path.name,
+        "environment": numeric_environment(),
     }
     write_json(out / "run_manifest.json", manifest)
     final = log[-1]

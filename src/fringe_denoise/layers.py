@@ -254,7 +254,7 @@ def batchnorm_forward(
     var = x.var(axis=(0, 2, 3))
     inv_std = 1.0 / np.sqrt(var + x.dtype.type(params.epsilon))
     x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
+    out = batchnorm_affine(x_hat, gamma, beta)
     unbiased = var * (count / (count - 1))
     params.running_mean[:] = params.momentum * params.running_mean + (
         1.0 - params.momentum
@@ -264,6 +264,15 @@ def batchnorm_forward(
     ) * unbiased.astype(params.running_var.dtype)
     cache = (x_hat, inv_std, gamma, count)
     return out, cache
+
+
+def batchnorm_affine(x_hat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """TRAIN-mode batch-norm output gamma * x_hat + beta, per channel.
+
+    The network's backward pass recomputes the output from the cached x_hat
+    through this same function, so the two agree bit for bit.
+    """
+    return gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
 
 
 def batchnorm_backward(

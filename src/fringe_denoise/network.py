@@ -23,6 +23,7 @@ from .layers import (
     BatchNormParams,
     ConvParams,
     ShapeError,
+    batchnorm_affine,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
@@ -145,28 +146,41 @@ def network_forward(
 ) -> tuple[np.ndarray, list | None]:
     """Run all stages on a single-channel batch; returns the noise estimate.
 
-    In TRAIN mode the per-layer inputs and batch-norm caches needed by
-    ``network_backward`` are collected; INFER mode returns ``None`` caches.
+    In TRAIN mode each layer adds a ``(conv_in, bn_cache, act_in)`` entry
+    for ``network_backward``, holding one activation-sized tensor per layer
+    with an activation and ``None`` wherever backward can recompute instead:
+    a batch-norm layer keeps only its batch-norm cache (with x_hat), a
+    stage's first layer keeps its pre-activation and the one-channel stage
+    input its conv read, and the reconstruction layer keeps nothing.  INFER
+    mode returns ``None`` caches.
     """
     if z.ndim != 4 or z.shape[1] != 1:
         raise ShapeError(f"network input must be (N,1,H,W), got {z.shape}")
     caches: list | None = [] if mode == TRAIN else None
     x = z
+    x_is_activation = False  # x is the leaky ReLU output of the layer before
     for stage in params.layers:
         for layer in stage:
-            conv_in = x
             pre = conv2d_forward(x, layer.conv)
             bn_cache = None
             if layer.bn is not None:
                 pre, bn_cache = batchnorm_forward(pre, layer.bn, mode)
-            act_in = pre
-            if layer.alpha is not None:
-                x = leaky_relu_forward(pre, layer.alpha)
-            else:
-                x = pre
             if caches is not None:
+                conv_in = None if x_is_activation else x
+                act_in = pre if layer.alpha is not None and bn_cache is None else None
                 caches.append((conv_in, bn_cache, act_in))
+            x_is_activation = layer.alpha is not None
+            x = leaky_relu_forward(pre, layer.alpha) if x_is_activation else pre
     return x, caches
+
+
+def _pre_activation(cache: tuple, layer: LayerParams) -> np.ndarray:
+    """A layer's activation input, cached or rebuilt from its x_hat."""
+    _, bn_cache, act_in = cache
+    if bn_cache is None:
+        return act_in
+    x_hat, _, gamma, _ = bn_cache
+    return batchnorm_affine(x_hat, gamma, layer.bn.beta.astype(x_hat.dtype))
 
 
 def network_backward(
@@ -177,7 +191,12 @@ def network_backward(
 ) -> dict[str, np.ndarray]:
     """Chain gradients of the noise estimate back through every stage.
 
-    Returns a dict keyed like ``iter_tensors(..., trainable_only=True)``.
+    A conv input that the forward pass did not cache is the layer before's
+    activation; it is recomputed here by the same functions the forward pass
+    ran, in the same order, so the gradients equal those of a cache of every
+    tensor bit for bit.  The batch-norm shift is read from ``params``, so
+    call this before the parameters are updated.  Returns a dict keyed like
+    ``iter_tensors(..., trainable_only=True)``.
     """
     if caches is None:
         raise ValueError("network_backward requires caches from a TRAIN-mode forward")
@@ -188,14 +207,20 @@ def network_backward(
         for d, layer in enumerate(stage)
     ]
     g = grad_v
-    for (s, d, layer), cache in zip(reversed(flat_layers), reversed(caches)):
-        conv_in, bn_cache, act_in = cache
+    pre = None  # the walked layer's pre-activation, rebuilt by the layer after it
+    for i in reversed(range(len(flat_layers))):
+        s, d, layer = flat_layers[i]
+        conv_in, bn_cache, _ = caches[i]
         if layer.alpha is not None:
-            g = leaky_relu_backward(act_in, layer.alpha, g)
+            g = leaky_relu_backward(pre, layer.alpha, g)
         if layer.bn is not None:
             g, g_gamma, g_beta = batchnorm_backward(bn_cache, g)
             grads[f"s{s:02d}.l{d:02d}.bn.gamma"] = g_gamma
             grads[f"s{s:02d}.l{d:02d}.bn.beta"] = g_beta
+        if conv_in is None:
+            prev = flat_layers[i - 1][2]
+            pre = _pre_activation(caches[i - 1], prev)
+            conv_in = leaky_relu_forward(pre, prev.alpha)
         # The network input needs no gradient, so the very first conv
         # skips its adjoint convolution.
         first = s == 0 and d == 0

@@ -288,6 +288,7 @@ def train(
                     "training stopped before updating the weights"
                 )
             grads = network_backward(caches, grad_v, params, net_config)
+            del caches  # so the next step's forward pass does not run beside it
             adam_step(params, grads, adam, train_config)
             for path, arr in iter_tensors(params, trainable_only=True):
                 if not np.isfinite(arr).all():

@@ -265,6 +265,36 @@ class TestPipelineEndToEnd:
         assert hashes[0] == hashes[1]
 
 
+    def test_run_manifest_records_numeric_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "seed": 4,
+            "simulate": {"count": 2, "width": 48, "height": 48},
+            "network": TINY_NET,
+            "train": {"batch_size": 4, "epochs": 1},
+        }))
+        corpus, data, out = tmp_path / "corpus", tmp_path / "patches.bin", tmp_path / "t"
+        assert cli_dispatch(["simulate", "--config", str(cfg_path), "--out", str(corpus)]) == 0
+        assert cli_dispatch(
+            ["dataset", "--corpus", str(corpus), "--out", str(data),
+             "--patch", "24", "--stride", "24"]
+        ) == 0
+        assert cli_dispatch(
+            ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]
+        ) == 0
+        env = json.loads((out / "run_manifest.json").read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env == {
+            "numpy": np.__version__,
+            "blas": blas["name"],
+            "blas_version": blas["version"],
+            "OPENBLAS_NUM_THREADS": None,
+            "OMP_NUM_THREADS": "3",
+            "cpus": len(os.sched_getaffinity(0)),
+        }
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 1

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from fringe_denoise.layers import INFER, TRAIN, ShapeError
+from fringe_denoise.layers import (
+    INFER,
+    TRAIN,
+    ShapeError,
+    batchnorm_backward,
+    batchnorm_forward,
+    conv2d_backward,
+    conv2d_forward,
+    leaky_relu_backward,
+    leaky_relu_forward,
+)
 from fringe_denoise.network import (
     NetworkConfig,
     build_network,
@@ -214,6 +224,98 @@ class TestBackward:
             assert grads_close(grads[path], fd, rtol=1e-4), path
             checked += 1
         assert checked == 16  # 2 stages x (3 convs w+b, 1 bn gamma+beta)
+
+
+def three_tensor_grads(z, grad_v, params):
+    """Gradients from a tape that keeps every layer's conv input, batch-norm
+    cache and pre-activation, chained through the public layer kernels."""
+    tape = []
+    x = z
+    for s, stage in enumerate(params.layers):
+        for d, layer in enumerate(stage):
+            conv_in = x
+            pre = conv2d_forward(x, layer.conv)
+            bn_cache = None
+            if layer.bn is not None:
+                pre, bn_cache = batchnorm_forward(pre, layer.bn, TRAIN)
+            x = pre if layer.alpha is None else leaky_relu_forward(pre, layer.alpha)
+            tape.append((f"s{s:02d}.l{d:02d}", layer, conv_in, bn_cache, pre))
+    grads = {}
+    g = grad_v
+    for prefix, layer, conv_in, bn_cache, pre in reversed(tape):
+        if layer.alpha is not None:
+            g = leaky_relu_backward(pre, layer.alpha, g)
+        if bn_cache is not None:
+            g, grads[f"{prefix}.bn.gamma"], grads[f"{prefix}.bn.beta"] = batchnorm_backward(
+                bn_cache, g
+            )
+        g, grads[f"{prefix}.conv.weights"], grads[f"{prefix}.conv.bias"] = conv2d_backward(
+            conv_in, layer.conv, g
+        )
+    return x, grads
+
+
+class TestTrainCache:
+    CONFIGS = [
+        NetworkConfig(stages=2, layers_per_stage=3, filters=3, kernel=3, alpha_first=0.0),
+        NetworkConfig(stages=3, layers_per_stage=5, filters=4, kernel=5),
+    ]
+
+    @staticmethod
+    def build_with_affine(cfg, dtype):
+        """A network whose batch-norm scales and shifts are not 1 and 0, so
+        that a recomputed affine map that dropped either would show."""
+        params = build_network(cfg, np.random.default_rng(23), dtype=dtype)
+        rng = np.random.default_rng(26)
+        for stage in params.layers:
+            for layer in stage:
+                if layer.bn is not None:
+                    layer.bn.gamma[:] = rng.uniform(0.5, 1.5, layer.bn.channels)
+                    layer.bn.beta[:] = rng.standard_normal(layer.bn.channels)
+        return params
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["2x3-alpha0", "3x5"])
+    def test_gradients_equal_three_tensor_tape_bitwise(self, cfg, dtype):
+        # Recomputing x_hat's affine map and the leaky ReLU in backward must
+        # give exactly the gradients of a tape that cached them.
+        rng = np.random.default_rng(22)
+        z = (rng.standard_normal((3, 1, 11, 11)) * 40).astype(dtype)
+        grad_v = rng.standard_normal(z.shape).astype(dtype)
+        params, ref_params = (self.build_with_affine(cfg, dtype) for _ in range(2))
+        v, caches = network_forward(z, params, cfg, mode=TRAIN)
+        grads = network_backward(caches, grad_v, params, cfg)
+        ref_v, ref_grads = three_tensor_grads(z, grad_v, ref_params)
+        np.testing.assert_array_equal(v, ref_v)
+        assert grads.keys() == ref_grads.keys()
+        for path, g in grads.items():
+            assert g.dtype == dtype, path
+            np.testing.assert_array_equal(g, ref_grads[path], err_msg=path)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["2x3-alpha0", "3x5"])
+    def test_one_activation_per_layer_with_an_activation(self, cfg):
+        # Distinct arrays, counted as the benchmark's train-cache metric
+        # counts them: every ndarray in (conv_in, act_in, *bn_cache).
+        n, h, w = 4, 9, 7
+        params = build_network(cfg, np.random.default_rng(24))
+        z = np.random.default_rng(25).standard_normal((n, 1, h, w)).astype(np.float32)
+        _, caches = network_forward(z, params, cfg, mode=TRAIN)
+        held = {}
+        for conv_in, bn_cache, act_in in caches:
+            for item in (conv_in, act_in, *(bn_cache or ())):
+                if isinstance(item, np.ndarray):
+                    held[id(item)] = item.nbytes
+        layers = [layer for stage in params.layers for layer in stage]
+        activation = n * cfg.filters * h * w * 4
+        stage_input = n * h * w * 4
+        per_channel = 2 * cfg.filters * 4  # inv_std and gamma of each BN layer
+        bound = (
+            sum(layer.alpha is not None for layer in layers) * activation
+            + cfg.stages * stage_input
+            + sum(layer.bn is not None for layer in layers) * per_channel
+        )
+        assert sum(held.values()) <= bound
+        assert len(caches) == len(layers)
 
 
 class TestDenoise:
