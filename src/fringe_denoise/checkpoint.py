@@ -5,9 +5,10 @@ Layout: the shared container framing (``container.py``) with magic
 directory order.  The header carries the network architecture, a digest
 of the training configuration, the epoch, the master seed and the
 optimizer step count, plus a tensor directory of (name, shape, offset)
-entries.  Loading reproduces every tensor bit-exactly, including
-batch-norm running statistics and optimizer moments, so training can
-resume as if never interrupted.
+entries; a checkpoint written by ``train()`` also carries the training
+log so far, without its wall-clock column.  Loading reproduces every
+tensor bit-exactly, including batch-norm running statistics and optimizer
+moments, so training can resume as if never interrupted.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ def save_checkpoint(
     train_config=None,
     epoch: int = 0,
     adam=None,
+    log: list[dict] | None = None,
 ) -> None:
     """Atomic write: the file appears complete or not at all."""
     tensors = _stored_tensors(params, adam)
@@ -81,11 +83,16 @@ def save_checkpoint(
         "adam_t": adam.t if adam is not None else None,
         "tensors": _directory(tensors),
     }
+    if log is not None:  # seconds are wall-clock time, not state
+        header["log"] = [{k: v for k, v in row.items() if k != "seconds"} for row in log]
     write_container(path, MAGIC, VERSION, header, (arr for _, arr in tensors), CheckpointError)
 
 
 def load_checkpoint(path, expect: NetworkConfig | None = None):
     """Returns (params, net_config, adam_state_or_None, meta).
+
+    ``meta`` holds the epoch, seed and training digest, and under ``log``
+    the stored log rows, which are empty for a checkpoint saved without them.
 
     ``expect`` asserts the stored architecture; a mismatch is a hard error
     rather than a silently reshaped model.  The tensor directory must be
@@ -94,7 +101,7 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     value, or a negative batch-norm running variance or Adam second moment,
     is a ``CheckpointError``, so no command computes with it.
     """
-    from .training import AdamState
+    from .training import LOG_FIELDS, AdamState
 
     required = ("network", "tensors", "epoch", "seed", "train_digest")
     header, payload = read_container(path, MAGIC, VERSION, required, CheckpointError)
@@ -114,6 +121,13 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     adam_t = header.get("adam_t")
     if not is_int(header["epoch"]) or not (adam_t is None or is_int(adam_t)):
         raise CheckpointError(f"{path}: epoch and adam_t must be non-negative integers")
+    log = header.get("log", [])  # older checkpoints resume with an empty history
+    fields = tuple(f for f in LOG_FIELDS if f != "seconds")
+    if not _is_log(log, header["epoch"], fields):
+        raise CheckpointError(
+            f"{path}: log must be a list of rows with increasing epochs ending at "
+            f"{header['epoch']} and numbers under {', '.join(fields)}"
+        )
     params = build_network(net_config, np.random.default_rng(0))
     adam = None if adam_t is None else AdamState.for_params(params)
     tensors = _stored_tensors(params, adam)
@@ -138,5 +152,23 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
         "epoch": header["epoch"],
         "seed": header["seed"],
         "train_digest": header["train_digest"],
+        "log": log,
     }
     return params, net_config, adam, meta
+
+
+def _is_log(log, epoch: int, fields: tuple[str, ...]) -> bool:
+    """No rows, or rows of numbers under ``fields``, each with an epoch and a
+    mean loss, whose epochs increase to ``epoch``."""
+    if not isinstance(log, list):
+        return False
+    last = 0
+    for row in log:
+        if not (
+            isinstance(row, dict) and {"epoch", "mean_loss"} <= row.keys() <= set(fields)
+            and all(type(v) in (int, float) for v in row.values())
+            and is_int(row["epoch"], last + 1)
+        ):
+            return False
+        last = row["epoch"]
+    return not log or last == epoch

@@ -38,7 +38,7 @@ def write_container(
                 arr = np.ascontiguousarray(arr, dtype="<f4")
                 if not np.isfinite(arr).all():
                     raise error(f"{path}: refusing to write values that are not finite in float32")
-                fh.write(arr.tobytes())
+                fh.write(memoryview(arr))  # the array's own buffer, not a copy
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

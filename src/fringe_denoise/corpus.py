@@ -22,7 +22,14 @@ from .config import SimulateConfig
 from .image_io import write_image
 from .phase import random_phase_spec, spec_to_dict
 from .seeding import derive_rng
-from .speckle import SimulationParams, add_awgn, normalize_to_range, render_clean, render_noisy
+from .speckle import (
+    SimulationParams,
+    add_awgn,
+    normalize_to_range,
+    phase_field,
+    render_clean,
+    render_noisy,
+)
 
 NS_IMAGE = 1
 NS_CORPUS = 2
@@ -50,8 +57,9 @@ def generate_pair(
         phi_r=cfg.phi_r,
         index_origin=cfg.index_origin,
     )
-    clean = normalize_to_range(render_clean(params, spec))
-    noisy = normalize_to_range(render_noisy(params, spec, rng))
+    field = phase_field(params, spec)  # one grid and one fringe cosine for both renderers
+    clean = normalize_to_range(render_clean(params, field))
+    noisy = normalize_to_range(render_noisy(params, field, rng))
     record = {
         "id": image_id,
         "a0c_sq": a0c_sq,

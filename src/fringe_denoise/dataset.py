@@ -15,9 +15,12 @@ random access by index and memory-mapped streaming of large datasets.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .container import read_container, write_container
 from .errors import FringeDenoiseError, is_int
@@ -46,16 +49,17 @@ class DatasetError(FringeDenoiseError):
 
 
 def apply_augmentation(patch: np.ndarray, code: int) -> np.ndarray:
+    """A view of ``patch``, or of a stack of patches, mapped on its last two axes."""
     if code == AUG_NONE:
         return patch
     if code == AUG_HFLIP:
-        return patch[:, ::-1]
+        return patch[..., ::-1]
     if code == AUG_ROT90:
-        return np.rot90(patch, 1)
+        return np.rot90(patch, 1, axes=(-2, -1))
     if code == AUG_ROT180:
-        return np.rot90(patch, 2)
+        return np.rot90(patch, 2, axes=(-2, -1))
     if code == AUG_ROT270:
-        return np.rot90(patch, 3)
+        return np.rot90(patch, 3, axes=(-2, -1))
     raise DatasetError(f"unknown augmentation code {code}")
 
 
@@ -157,8 +161,8 @@ PACKED_MAGIC = b"FPDS"
 PACKED_VERSION = 2
 
 
-def write_packed(path, dataset) -> None:
-    """Serialize any (len, getitem, provenance) dataset to the packed form.
+def write_packed(path, dataset: PatchDataset) -> None:
+    """Serialize a ``build_dataset`` dataset to the packed form.
 
     The write is atomic: a dataset that fails partway, or holds a value that
     is not finite in float32, leaves no file.
@@ -171,8 +175,26 @@ def write_packed(path, dataset) -> None:
             [ref.source, ref.row, ref.col, ref.aug] for ref in dataset.provenance
         ],
     }
-    patches = (img for i in range(len(dataset)) for img in dataset[i])
-    write_container(path, PACKED_MAGIC, PACKED_VERSION, header, patches, DatasetError)
+    write_container(
+        path, PACKED_MAGIC, PACKED_VERSION, header, _source_blocks(dataset), DatasetError
+    )
+
+
+def _source_blocks(dataset: PatchDataset):
+    """Each run of consecutive records that share a source, as one float32
+    ``(n, 2, patch, patch)`` block: the same values, in the same order, as
+    the run's ``dataset[i]`` pairs.  A value beyond float32 casts to
+    infinity here, inside ``write_container``'s loop, which refuses it."""
+    p = dataset.patch_size
+    for source, run in itertools.groupby(dataset.provenance, key=attrgetter("source")):
+        rows, cols, augs = np.array([(ref.row, ref.col, ref.aug) for ref in run]).T
+        block = np.empty((len(augs), 2, p, p), dtype="<f4")
+        for k, plane in enumerate(dataset.corpus[source]):
+            block[:, k] = sliding_window_view(plane, (p, p))[rows, cols]
+        for code in np.unique(augs[augs != AUG_NONE]):
+            hit = augs == code
+            block[hit] = apply_augmentation(block[hit], int(code))
+        yield block
 
 
 def _is_record(entry) -> bool:

@@ -12,6 +12,7 @@ bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,29 +54,51 @@ def sample_ned(lam: float, rng, size=None):
     return -lam * np.log1p(-u)
 
 
-def render_clean(params: SimulationParams, spec: PhaseSpec) -> np.ndarray:
+class PhaseField(NamedTuple):
+    """A phase-difference grid and its fringe cosine ``cos(dphi + pi)``."""
+
+    dphi: np.ndarray
+    fringe_cos: np.ndarray
+
+
+def phase_field(params: SimulationParams, phase: PhaseSpec | PhaseField) -> PhaseField:
+    """``phase`` evaluated on the image grid of ``params``.
+
+    A spec is evaluated here; an already evaluated field passes through, so
+    one pair's two renderers can share a single grid and cosine.
+    """
+    if isinstance(phase, PhaseField):
+        return phase
+    dphi = phase_grid(phase, params.height, params.width, params.index_origin)
+    return PhaseField(dphi, np.cos(dphi + np.pi))
+
+
+def fringe(amp, field: PhaseField) -> np.ndarray:
+    """The interference term ``amp * (1 + cos(dphi + pi))``."""
+    return amp + amp * field.fringe_cos
+
+
+def render_clean(params: SimulationParams, phase: PhaseSpec | PhaseField) -> np.ndarray:
     """Noise-free pattern; values lie in [0, 8*a0c_sq*ar_sq], unnormalized."""
-    dphi = phase_grid(spec, params.height, params.width, params.index_origin)
-    amp = 4.0 * params.a0c_sq * params.ar_sq
-    return amp + amp * np.cos(dphi + np.pi)
+    return fringe(4.0 * params.a0c_sq * params.ar_sq, phase_field(params, phase))
 
 
 def render_noisy(
-    params: SimulationParams, spec: PhaseSpec, rng: np.random.Generator
+    params: SimulationParams, phase: PhaseSpec | PhaseField, rng: np.random.Generator
 ) -> np.ndarray:
     """Speckle-corrupted pattern.
 
     Draw order per image is fixed (speckle phases first, then intensity
     fluctuations), so results are reproducible for a given generator state.
     """
-    dphi = phase_grid(spec, params.height, params.width, params.index_origin)
+    field = phase_field(params, phase)
+    dphi = field.dphi
     shape = (params.height, params.width)
     phi0 = np.pi - 2.0 * np.pi * rng.random(shape)  # uniform on (-pi, pi]
     a0_sq = params.a0c_sq + sample_ned(params.ned_lambda, rng, shape)
     amp = 4.0 * a0_sq * params.ar_sq
-    base = amp + amp * np.cos(dphi + np.pi)
     noise = -amp * (1.0 - np.cos(dphi)) * np.cos(2.0 * phi0 + dphi - 2.0 * params.phi_r)
-    return base + noise
+    return fringe(amp, field) + noise
 
 
 def normalize_to_range(img: np.ndarray, peak: float = 255.0) -> np.ndarray:

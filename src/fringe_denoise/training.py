@@ -222,7 +222,9 @@ def train(
     ``dataset`` must expose ``__len__``, ``__getitem__ -> (clean, noisy)``
     and a ``provenance`` sequence.  Patches are consumed in the [0, 255]
     intensity range as stored.  One log row is appended per epoch; on eval
-    epochs it carries held-out metrics and a checkpoint is written.
+    epochs it carries held-out metrics and a checkpoint is written.  A
+    resumed run's log starts with the rows its checkpoint stored, which
+    have no ``seconds``.
     """
     from .checkpoint import CheckpointError, config_digest, load_checkpoint, save_checkpoint
 
@@ -246,9 +248,11 @@ def train(
         if adam is None:
             adam = AdamState.for_params(params)
         start_epoch = meta["epoch"] + 1
+        log = meta["log"]
     else:
         params = build_network(net_config, derive_rng(train_config.seed, 0, 0))
         adam = AdamState.for_params(params)
+        log = []
 
     train_idx, eval_idx = holdout_split(
         dataset, train_config.holdout_fraction, train_config.seed
@@ -270,7 +274,6 @@ def train(
                 "holdout_fraction of 0 trains on them without held-out metrics"
             )
 
-    log: list[dict] = []
     ckpt_dir = Path(train_config.checkpoint_dir) if train_config.checkpoint_dir else None
 
     for epoch in range(start_epoch, train_config.epochs + 1):
@@ -316,6 +319,7 @@ def train(
                 train_config,
                 epoch=epoch,
                 adam=adam,
+                log=log,
             )
         if log_path:
             write_log_csv(log_path, log)
@@ -337,6 +341,6 @@ def write_log_csv(path, log: list[dict]) -> None:
                     repr(row["psnr"]) if "psnr" in row else "",
                     repr(row["ssim"]) if "ssim" in row else "",
                     repr(row["mae"]) if "mae" in row else "",
-                    f"{row['seconds']:.3f}",
+                    f"{row['seconds']:.3f}" if "seconds" in row else "",
                 ]
             )

@@ -265,6 +265,26 @@ class TestPipelineEndToEnd:
         assert hashes[0] == hashes[1]
 
 
+    def test_resumed_run_keeps_the_whole_training_log(self, tmp_path):
+        """A run resumed from epoch 2 of 3 writes the uninterrupted run's
+        training log, the wall-clock column aside."""
+        data, cfg_path = train_inputs(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["train"]["epochs"] = 3
+        cfg_path.write_text(json.dumps(cfg))
+        run = ["train", "--data", str(data), "--config", str(cfg_path)]
+        straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+        assert cli_dispatch([*run, "--out", str(straight)]) == 0
+        resume = ["--resume", str(straight / "ckpt_epoch_0002.fpdc")]
+        assert cli_dispatch([*run, "--out", str(resumed), *resume]) == 0
+
+        def rows(out):
+            lines = (out / "training_log.csv").read_text().splitlines()
+            return [line.rsplit(",", 1)[0] for line in lines]
+
+        assert len(rows(straight)) == 4  # the column names and three epochs
+        assert rows(resumed) == rows(straight)
+
     def test_run_manifest_records_numeric_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

@@ -65,24 +65,20 @@ class TestFormatPins:
 
 class TestAtomicWrite:
     def test_failed_write_packed_leaves_no_file(self, tmp_path):
-        class FailsOnSecondItem:
-            def __init__(self, dataset):
-                self.dataset = dataset
-                self.patch_size = dataset.patch_size
-                self.stride = dataset.stride
-                self.provenance = dataset.provenance
-
-            def __len__(self):
-                return len(self.dataset)
+        class FailsOnSecondItem(list):
+            """A corpus whose second source cannot be read, after the first
+            source's patches are written."""
 
             def __getitem__(self, idx):
                 if idx == 1:
                     raise RuntimeError("source image vanished")
-                return self.dataset[idx]
+                return super().__getitem__(idx)
 
+        dataset = arange_dataset()
+        dataset.corpus = FailsOnSecondItem(dataset.corpus)
         path = tmp_path / "patches.bin"
         with pytest.raises(RuntimeError, match="vanished"):
-            write_packed(path, FailsOnSecondItem(arange_dataset()))
+            write_packed(path, dataset)
         assert list(tmp_path.iterdir()) == []
 
 

@@ -1,14 +1,17 @@
 """The corpus writer: what ``generate_corpus`` writes, and when it writes it."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fringe_denoise import corpus
 from fringe_denoise.config import SimulateConfig
-from fringe_denoise.corpus import NS_AWGN, NS_CORPUS, generate_corpus, generate_pair
+from fringe_denoise.corpus import NS_AWGN, NS_CORPUS, NS_IMAGE, generate_corpus, generate_pair
 from fringe_denoise.image_io import encode_fpd1, write_image
+from fringe_denoise.phase import phase_grid, random_phase_spec
 from fringe_denoise.seeding import derive_rng
-from fringe_denoise.speckle import add_awgn
+from fringe_denoise.speckle import add_awgn, normalize_to_range, sample_ned
 
 SEED = 11
 MODES = {
@@ -92,3 +95,41 @@ def test_each_pair_is_written_before_the_next_is_made(tmp_path, monkeypatch, mod
         assert made[image_id] < min(writes)
         if image_id + 1 < cfg.count:
             assert max(writes) < made[image_id + 1], (image_id, events)
+
+
+def two_grid_pair(cfg: SimulateConfig, seed: int, image_id: int):
+    """The clean/noisy pair of ``generate_pair``, with the phase grid and the
+    fringe cosine evaluated once for each renderer, formulas written out."""
+    rng = derive_rng(seed, NS_IMAGE, image_id)
+    spec = random_phase_spec(rng, cfg.height, cfg.width, cfg.min_terms, cfg.max_terms)
+    a0c_sq = float(rng.uniform(*cfg.a0c_sq_range))
+    ned_lambda = float(rng.uniform(*cfg.ned_lambda_range))
+    dphi = phase_grid(spec, cfg.height, cfg.width, cfg.index_origin)
+    amp = 4.0 * a0c_sq * cfg.ar_sq
+    clean = amp + amp * np.cos(dphi + np.pi)
+    dphi = phase_grid(spec, cfg.height, cfg.width, cfg.index_origin)
+    shape = (cfg.height, cfg.width)
+    phi0 = np.pi - 2.0 * np.pi * rng.random(shape)
+    a0_sq = a0c_sq + sample_ned(ned_lambda, rng, shape)
+    amp = 4.0 * a0_sq * cfg.ar_sq
+    base = amp + amp * np.cos(dphi + np.pi)
+    noise = -amp * (1.0 - np.cos(dphi)) * np.cos(2.0 * phi0 + dphi - 2.0 * cfg.phi_r)
+    return normalize_to_range(clean), normalize_to_range(base + noise)
+
+
+@pytest.mark.parametrize("mode", ["no-awgn", "in_place"])
+def test_pairs_equal_the_two_grid_recipe_bit_for_bit(tmp_path, mode):
+    """20 pairs from one shared phase grid, and the corpus files written from
+    them, equal the two-grid recipe bit for bit."""
+    cfg = dataclasses.replace(small_config(mode), count=20)
+    generate_corpus(cfg, SEED, tmp_path)
+    chosen = set(derive_rng(SEED, NS_CORPUS, 0).permutation(cfg.count)[: cfg.awgn_count].tolist())
+    for image_id in range(cfg.count):
+        clean, noisy = two_grid_pair(cfg, SEED, image_id)
+        got = generate_pair(cfg, SEED, image_id)
+        assert got[0].tobytes() == clean.tobytes() and got[1].tobytes() == noisy.tobytes()
+        if image_id in chosen:
+            noisy = add_awgn(clean, cfg.awgn_sigma, derive_rng(SEED, NS_AWGN, image_id))
+        for sub, img in (("clean", clean), ("noisy", noisy)):
+            path = tmp_path / sub / f"{image_id:04d}.fpd1"
+            assert path.read_bytes() == encode_fpd1(np.asarray(img, "<f4")), path

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fringe_denoise.container import write_container
 from fringe_denoise.dataset import (
     AUG_HFLIP,
     AUG_ROT90,
     AUG_ROT180,
     AUG_ROT270,
+    PACKED_MAGIC,
+    PACKED_VERSION,
     DatasetError,
     PackedDataset,
     build_dataset,
@@ -204,6 +207,40 @@ class TestPackedHeaderChecks:
         path.write_bytes(path.read_bytes()[:length])
         with pytest.raises(DatasetError):
             PackedDataset(path)
+
+
+def write_per_patch(path, dataset) -> None:
+    """The packed file as a writer of one array per patch member makes it:
+    every ``dataset[i]`` image through ``write_container`` in turn."""
+    header = {
+        "patch_size": dataset.patch_size,
+        "stride": dataset.stride,
+        "count": len(dataset),
+        "provenance": [[r.source, r.row, r.col, r.aug] for r in dataset.provenance],
+    }
+    images = (img for i in range(len(dataset)) for img in dataset[i])
+    write_container(path, PACKED_MAGIC, PACKED_VERSION, header, images, DatasetError)
+
+
+class TestPerSourceBlocks:
+    """``write_packed`` cuts each source's patches as one block; its file is
+    byte-equal to the per-patch writer's."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["expand", "in_place"])
+    def test_file_equals_per_patch_writer(self, tmp_path, mode, dtype):
+        rng = np.random.default_rng(8)
+        shapes = [(37, 29), (24, 40), (31, 31), (16, 16)]
+        corpus = [
+            (rng.uniform(-3, 300, s).astype(dtype), rng.uniform(0, 255, s).astype(dtype))
+            for s in shapes
+        ]
+        augs = (AUG_HFLIP, AUG_ROT90, AUG_ROT180, AUG_ROT270)
+        ds = build_dataset(corpus, patch_size=9, stride=5, augmentations=augs, mode=mode)
+        assert {r.aug for r in ds.provenance} == {0, *augs}
+        write_packed(tmp_path / "blocks.bin", ds)
+        write_per_patch(tmp_path / "patches.bin", ds)
+        assert (tmp_path / "blocks.bin").read_bytes() == (tmp_path / "patches.bin").read_bytes()
 
 
 class TestPackedVersion2:

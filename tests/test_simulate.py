@@ -10,6 +10,7 @@ from fringe_denoise.speckle import (
     SimulationParams,
     add_awgn,
     normalize_to_range,
+    phase_field,
     render_clean,
     render_noisy,
     sample_ned,
@@ -122,6 +123,15 @@ class TestRenderNoisy:
         a = render_noisy(params, FIG3, np.random.default_rng(77))
         b = render_noisy(params, FIG3, np.random.default_rng(77))
         np.testing.assert_array_equal(a, b)
+
+    def test_evaluated_field_renders_as_its_spec(self):
+        params = SimulationParams(a0c_sq=45.0, ned_lambda=10.0, width=48, height=40)
+        field = phase_field(params, FIG3)
+        assert phase_field(params, field) is field
+        assert render_clean(params, field).tobytes() == render_clean(params, FIG3).tobytes()
+        a = render_noisy(params, field, np.random.default_rng(5))
+        b = render_noisy(params, FIG3, np.random.default_rng(5))
+        assert a.tobytes() == b.tobytes()
 
     def test_normalized_contrast_decreases_with_lambda(self):
         # contrast degradation: normalized column means drop as the noise

@@ -328,7 +328,7 @@ class TestCheckpoint:
             ),
             resume_from=str(resumed_dir / "ckpt_epoch_0002.fpdc"),
         )
-        assert [row["epoch"] for row in log] == [3]
+        assert [row["epoch"] for row in log] == [1, 2, 3]
         for (pa, ta), (pb, tb) in zip(
             iter_tensors(params_straight), iter_tensors(params_resumed)
         ):
@@ -341,6 +341,57 @@ def saved_checkpoint(path, with_adam=True):
     adam = AdamState.for_params(params) if with_adam else None
     save_checkpoint(path, params, SMALL_NET, TrainConfig(seed=0), epoch=1, adam=adam)
     return path
+
+
+class TestCheckpointLog:
+    """A checkpoint stores the training log without its wall-clock column."""
+
+    ROWS = [
+        {"epoch": 1, "mean_loss": 2.5, "seconds": 0.25},
+        {"epoch": 2, "mean_loss": 1.5, "psnr": float("inf"), "ssim": 1.0, "mae": 0.0,
+         "seconds": 0.5},
+    ]
+
+    def saved(self, path, log=ROWS):
+        params = build_network(SMALL_NET, np.random.default_rng(6))
+        save_checkpoint(path, params, SMALL_NET, TrainConfig(seed=0), epoch=2, log=log)
+        return path
+
+    def test_round_trip_without_seconds(self, tmp_path):
+        meta = load_checkpoint(self.saved(tmp_path / "net.fpdc"))[3]
+        assert meta["log"] == [
+            {k: v for k, v in row.items() if k != "seconds"} for row in self.ROWS
+        ]
+
+    def test_checkpoint_without_log_loads_an_empty_history(self, tmp_path):
+        path = self.saved(tmp_path / "net.fpdc", log=None)
+        assert "log" not in read_header(path)
+        assert load_checkpoint(path)[3]["log"] == []
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.update(log={"epoch": 1}),
+            lambda h: h["log"].append(7),
+            lambda h: h["log"][0].pop("mean_loss"),
+            lambda h: h["log"][0].update(mean_loss="2.5"),
+            lambda h: h["log"][0].update(seconds=0.25),
+            lambda h: h["log"].reverse(),
+            lambda h: h["log"][1].update(epoch=3),
+            lambda h: h["log"].pop(),
+            lambda h: h["log"][0].update(epoch=True),
+        ],
+        ids=[
+            "not-a-list", "row-not-object", "no-mean_loss", "string-loss", "seconds",
+            "decreasing-epochs", "epoch-beyond-checkpoint", "ends-before-checkpoint",
+            "boolean-epoch",
+        ],
+    )
+    def test_malformed_log_is_checkpoint_error(self, tmp_path, edit):
+        path = self.saved(tmp_path / "net.fpdc")
+        edit_header(path, edit)
+        with pytest.raises(CheckpointError, match="log must be"):
+            load_checkpoint(path)
 
 
 class TestCheckpointDirectory:
@@ -456,7 +507,7 @@ class TestTrainGuards:
         ds, cfg, path = checkpoint
         longer = dataclasses.replace(cfg, epochs=3, checkpoint_dir=str(tmp_path / "r"))
         _, log = train(ds, SMALL_NET, longer, resume_from=path)
-        assert [row["epoch"] for row in log] == [2, 3]
+        assert [row["epoch"] for row in log] == [1, 2, 3]
 
 
 def swap_first_two(tensors) -> None:
