@@ -89,10 +89,9 @@ def cmd_dataset(args) -> int:
             f"unknown augmentation {', '.join(unknown)} "
             f"(choose from hflip, rot90, rot180, rot270)"
         )
-    pairs = load_corpus(args.corpus)
     aug_codes = tuple(AUG_CODES[name] for name in args.augment)
     ds = build_dataset(
-        pairs,
+        load_corpus(args.corpus),
         patch_size=args.patch,
         stride=args.stride,
         augmentations=aug_codes,
@@ -107,8 +106,8 @@ def cmd_dataset(args) -> int:
         "stride": args.stride,
         "augmentations": list(args.augment),
         "augment_mode": args.augment_mode,
+        "sources": len(ds.corpus),
         "count": len(ds),
-        "provenance": [[r.source, r.row, r.col, r.aug] for r in ds.provenance],
         "artifacts": {out.name: sha256_file(out)},
     }
     write_json(out.with_name(out.name + ".manifest.json"), manifest)

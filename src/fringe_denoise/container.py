@@ -45,10 +45,10 @@ def write_container(
         raise
 
 
-def read_container(
+def read_header(
     path, magic: bytes, version: int, required: tuple[str, ...], error: type[Exception]
-) -> tuple[dict, np.ndarray]:
-    """Returns (header, payload) with the payload as a read-only float32 map.
+) -> tuple[dict, int, int]:
+    """Returns (header, payload offset, file size) without reading the payload.
 
     Every failure raises the caller's ``error``: a bad magic or version, a
     truncated prelude or header, or a header that is not an ASCII JSON
@@ -77,6 +77,17 @@ def read_container(
     for key in required:
         if key not in header:
             raise error(f"{path}: header has no {key!r} entry")
+    return header, start, size
+
+
+def read_container(
+    path, magic: bytes, version: int, required: tuple[str, ...], error: type[Exception]
+) -> tuple[dict, np.ndarray]:
+    """Returns (header, payload) with the payload as a read-only float32 map.
+
+    Fails as ``read_header`` does.
+    """
+    header, start, size = read_header(path, magic, version, required, error)
     count = (size - start) // 4  # a partial trailing value is not part of the payload
     if count == 0:  # older numpy cannot map zero bytes at the end of a file
         return header, np.zeros(0, dtype="<f4")

@@ -9,6 +9,9 @@ Both members are standardized to [0, 255] and stored as float images under
 A configurable number of pairs have their noisy member replaced by (or, in
 append mode, duplicated as) the clean image plus white Gaussian noise,
 which diversifies the noise statistics seen in training.
+
+``load_corpus`` gives a corpus directory back as a sequence of pairs that
+reads each pair only when it is indexed.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import image_io
 from .config import SimulateConfig
 from .image_io import write_image
 from .phase import random_phase_spec, spec_to_dict
@@ -110,29 +114,41 @@ def _write_pair(out: Path, image_id: int, clean: np.ndarray, noisy: np.ndarray) 
     write_image(noisy, out / "noisy" / f"{image_id:04d}.fpd1")
 
 
-def load_corpus(corpus_dir) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read matching clean/noisy pairs back, ordered by id."""
-    from .image_io import read_image
+class StoredCorpus:
+    """The clean/noisy pairs of a corpus directory, by id, read as float32
+    one pair at a time: ``corpus[i]`` reads pair ``i`` from disk, except that
+    the pair read last is kept, so a caller that reads a pair twice in a row
+    reads the files once."""
 
-    corpus_dir = Path(corpus_dir)
-    clean_dir = corpus_dir / "clean"
-    noisy_dir = corpus_dir / "noisy"
-    if not clean_dir.is_dir() or not noisy_dir.is_dir():
-        raise FileNotFoundError(
-            f"{corpus_dir} is not a corpus (needs clean/ and noisy/ subdirectories)"
-        )
-    pairs = []
-    for clean_path in sorted(clean_dir.iterdir()):
-        noisy_path = noisy_dir / clean_path.name
-        if not noisy_path.exists():
-            raise FileNotFoundError(f"corpus id {clean_path.stem} has no noisy member")
-        pairs.append(
-            (
-                read_image(clean_path).astype(np.float32),
-                read_image(noisy_path).astype(np.float32),
+    def __init__(self, corpus_dir) -> None:
+        corpus_dir = Path(corpus_dir)
+        clean_dir = corpus_dir / "clean"
+        noisy_dir = corpus_dir / "noisy"
+        if not clean_dir.is_dir() or not noisy_dir.is_dir():
+            raise FileNotFoundError(
+                f"{corpus_dir} is not a corpus (needs clean/ and noisy/ subdirectories)"
             )
-        )
-    return pairs
+        self.paths = []
+        for clean_path in sorted(clean_dir.iterdir()):
+            noisy_path = noisy_dir / clean_path.name
+            if not noisy_path.exists():
+                raise FileNotFoundError(f"corpus id {clean_path.stem} has no noisy member")
+            self.paths.append((clean_path, noisy_path))
+        self._last = (None, None)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._last[0] != idx:  # image_io.read_image is looked up at call time
+            pair = tuple(image_io.read_image(p).astype(np.float32) for p in self.paths[idx])
+            self._last = (idx, pair)
+        return self._last[1]
+
+
+def load_corpus(corpus_dir) -> StoredCorpus:
+    """The corpus in ``corpus_dir``, ordered by id, with no image read yet."""
+    return StoredCorpus(corpus_dir)
 
 
 def write_json(path, payload: dict) -> None:

@@ -1,28 +1,25 @@
 """Clean/noisy patch datasets with full provenance.
 
 Patches are cut on a regular grid (offsets 0, stride, 2*stride, ... up to
-the largest fit) from a corpus of aligned clean/noisy image pairs.  Every
-patch is identified by (source index, row offset, column offset,
-augmentation code), so its pixels can be re-materialized from the corpus
-at any time; nothing about patch content is stored in the in-memory
-dataset.
+the largest fit) from a corpus of aligned clean/noisy pairs of one shape.
+Each patch's provenance (source, row, column, augmentation) is derived from
+the grid by ``patch_refs``, never stored, and its pixels are cut on demand.
 
-The packed on-disk form uses the shared container framing
-(``container.py``) with magic ``FPDS``; its payload is one
-``(count, 2, patch, patch)`` float32 array of clean/noisy pairs, enabling
-random access by index and memory-mapped streaming of large datasets.
+The packed form uses the shared container framing (``container.py``) with
+magic ``FPDS``: the grid as header, then each source pair once, as float32
+``(2, height, width)``.  ``PackedDataset`` maps no part of it: a patch reads
+only the rows its window covers, one positioned read per image.
 """
 
 from __future__ import annotations
 
-import itertools
+import os
+import weakref
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .container import read_container, write_container
+from .container import read_header, write_container
 from .errors import FringeDenoiseError, is_int
 
 AUG_NONE = 0
@@ -42,6 +39,9 @@ AUG_CODES = {name: code for code, name in AUG_NAMES.items()}
 
 EXPAND = "expand"
 IN_PLACE = "in_place"
+
+# The arguments of ``patch_refs``: a dataset's grid and a packed file's header.
+GRID_KEYS = ("patch_size", "stride", "augmentations", "mode", "sources", "height", "width")
 
 
 class DatasetError(FringeDenoiseError):
@@ -76,43 +76,10 @@ def grid_offsets(dim: int, patch_size: int, stride: int) -> range:
     return range(0, dim - patch_size + 1, stride)
 
 
-class PatchDataset:
-    """Lazy view over a corpus: provenance records plus a patch extractor."""
-
-    def __init__(
-        self,
-        corpus,
-        provenance: list[PatchRef],
-        patch_size: int,
-        stride: int,
-    ) -> None:
-        self.corpus = corpus
-        self.provenance = provenance
-        self.patch_size = patch_size
-        self.stride = stride
-
-    def __len__(self) -> int:
-        return len(self.provenance)
-
-    def __getitem__(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
-        ref = self.provenance[idx]
-        clean, noisy = self.corpus[ref.source]
-        p = self.patch_size
-        window = (slice(ref.row, ref.row + p), slice(ref.col, ref.col + p))
-        return (
-            np.ascontiguousarray(apply_augmentation(clean[window], ref.aug)),
-            np.ascontiguousarray(apply_augmentation(noisy[window], ref.aug)),
-        )
-
-
-def build_dataset(
-    corpus,
-    patch_size: int = 80,
-    stride: int = 16,
-    augmentations: tuple[int, ...] = (),
-    mode: str = EXPAND,
-) -> PatchDataset:
-    """Cut every corpus pair into grid patches, optionally augmented.
+def patch_refs(
+    patch_size, stride, augmentations, mode, sources: int, height: int, width: int
+) -> list[PatchRef]:
+    """Every patch of ``sources`` images of ``height`` x ``width``, in dataset order.
 
     ``mode="expand"`` emits one extra copy of every patch per selected
     augmentation; ``mode="in_place"`` keeps the base patch count and
@@ -125,125 +92,155 @@ def build_dataset(
         )
     if mode not in (EXPAND, IN_PLACE):
         raise DatasetError(f"unknown augmentation mode {mode!r}")
-    augs = list(dict.fromkeys(augmentations))
-    if AUG_NONE in augs:
-        raise DatasetError("augmentations are extras; the identity is implicit")
-    provenance: list[PatchRef] = []
-    variants = [AUG_NONE] + augs
-    for src, (clean, noisy) in enumerate(corpus):
-        if clean.shape != noisy.shape:
+    if not isinstance(augmentations, (list, tuple)) or not all(
+        is_int(a, 1) and a in AUG_NAMES for a in augmentations
+    ):
+        raise DatasetError(f"augmentations are extra codes 1-4, got {augmentations!r}; "
+                           "the identity is implicit")
+    if sources and (height < patch_size or width < patch_size):
+        raise DatasetError(
+            f"corpus image 0 ({height}x{width}) is smaller than the "
+            f"{patch_size}x{patch_size} patch"
+        )
+    variants = [AUG_NONE, *dict.fromkeys(augmentations)]
+    base = [
+        (r, c)
+        for r in grid_offsets(height, patch_size, stride)
+        for c in grid_offsets(width, patch_size, stride)
+    ]
+    if mode == EXPAND:
+        return [PatchRef(s, r, c, aug) for s in range(sources) for aug in variants for r, c in base]
+    return [
+        PatchRef(s, r, c, variants[k % len(variants)])
+        for s in range(sources)
+        for k, (r, c) in enumerate(base)
+    ]
+
+
+class PatchDataset:
+    """Grid patches of an indexable corpus of clean/noisy pairs, cut on demand.
+
+    ``grid`` holds ``patch_refs``'s arguments by name: the packed header.
+    """
+
+    def __init__(self, corpus, grid: dict) -> None:
+        self.corpus = corpus
+        self.grid = grid
+        self.patch_size = grid["patch_size"]
+        self.stride = grid["stride"]
+        self.provenance = patch_refs(**grid)
+
+    def __len__(self) -> int:
+        return len(self.provenance)
+
+    def pair(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """Corpus pair ``source``; a pair not of the grid's shape is a ``DatasetError``."""
+        clean, noisy = self.corpus[source]
+        shape = (self.grid["height"], self.grid["width"])
+        if not clean.shape == noisy.shape == shape:
             raise DatasetError(
-                f"corpus pair {src} has mismatched shapes {clean.shape} vs {noisy.shape}"
+                f"corpus pair {source} has shapes {clean.shape} and {noisy.shape}; "
+                f"every image must be {shape[0]}x{shape[1]}, as image 0 is"
             )
-        h, w = clean.shape
-        if h < patch_size or w < patch_size:
-            raise DatasetError(
-                f"corpus image {src} ({h}x{w}) is smaller than the "
-                f"{patch_size}x{patch_size} patch"
-            )
-        base = [
-            (r, c)
-            for r in grid_offsets(h, patch_size, stride)
-            for c in grid_offsets(w, patch_size, stride)
-        ]
-        if mode == EXPAND:
-            for aug in variants:
-                provenance.extend(PatchRef(src, r, c, aug) for r, c in base)
-        else:
-            for k, (r, c) in enumerate(base):
-                provenance.append(PatchRef(src, r, c, variants[k % len(variants)]))
-    return PatchDataset(corpus, provenance, patch_size, stride)
+        return clean, noisy
+
+    def window_rows(self, ref: PatchRef):
+        """Both members' image rows ``ref.row`` to ``ref.row + patch_size``."""
+        rows = slice(ref.row, ref.row + self.patch_size)
+        return [image[rows] for image in self.pair(ref.source)]
+
+    def __getitem__(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """Patch pair ``idx`` as owned arrays: its window's columns of
+        ``window_rows``, augmented."""
+        ref = self.provenance[idx]
+        cols = slice(ref.col, ref.col + self.patch_size)
+        clean, noisy = (
+            apply_augmentation(rows[:, cols], ref.aug).copy() for rows in self.window_rows(ref)
+        )
+        return clean, noisy
+
+
+def build_dataset(
+    corpus,
+    patch_size: int = 80,
+    stride: int = 16,
+    augmentations: tuple[int, ...] = (),
+    mode: str = EXPAND,
+) -> PatchDataset:
+    """Cut every pair of ``corpus``, a sequence of same-shape pairs, into grid
+    patches, optionally augmented (see ``patch_refs``).
+
+    Only pair 0 is read here, for the shape; every later read of a pair
+    checks it against that shape.
+    """
+    height, width = corpus[0][0].shape if len(corpus) else (0, 0)
+    grid = dict(patch_size=patch_size, stride=stride, mode=mode, sources=len(corpus),
+                augmentations=list(dict.fromkeys(augmentations)), height=height, width=width)
+    return PatchDataset(corpus, grid)
 
 
 # --- packed on-disk form ----------------------------------------------------
 
 PACKED_MAGIC = b"FPDS"
-PACKED_VERSION = 2
+PACKED_VERSION = 3
 
 
 def write_packed(path, dataset: PatchDataset) -> None:
-    """Serialize a ``build_dataset`` dataset to the packed form.
+    """Write ``dataset``'s grid as the header and each of its corpus pairs once.
 
-    The write is atomic: a dataset that fails partway, or holds a value that
-    is not finite in float32, leaves no file.
+    Pairs are read one at a time.  The write is atomic: a pair that cannot
+    be read, is not of the grid's shape, or holds a value that is not
+    finite in float32 leaves no file.
     """
-    header = {
-        "patch_size": dataset.patch_size,
-        "stride": dataset.stride,
-        "count": len(dataset),
-        "provenance": [
-            [ref.source, ref.row, ref.col, ref.aug] for ref in dataset.provenance
-        ],
-    }
-    write_container(
-        path, PACKED_MAGIC, PACKED_VERSION, header, _source_blocks(dataset), DatasetError
-    )
+    members = (m for s in range(dataset.grid["sources"]) for m in dataset.pair(s))
+    write_container(path, PACKED_MAGIC, PACKED_VERSION, dataset.grid, members, DatasetError)
 
 
-def _source_blocks(dataset: PatchDataset):
-    """Each run of consecutive records that share a source, as one float32
-    ``(n, 2, patch, patch)`` block: the same values, in the same order, as
-    the run's ``dataset[i]`` pairs.  A value beyond float32 casts to
-    infinity here, inside ``write_container``'s loop, which refuses it."""
-    p = dataset.patch_size
-    for source, run in itertools.groupby(dataset.provenance, key=attrgetter("source")):
-        rows, cols, augs = np.array([(ref.row, ref.col, ref.aug) for ref in run]).T
-        block = np.empty((len(augs), 2, p, p), dtype="<f4")
-        for k, plane in enumerate(dataset.corpus[source]):
-            block[:, k] = sliding_window_view(plane, (p, p))[rows, cols]
-        for code in np.unique(augs[augs != AUG_NONE]):
-            hit = augs == code
-            block[hit] = apply_augmentation(block[hit], int(code))
-        yield block
-
-
-def _is_record(entry) -> bool:
-    """A provenance record: four non-negative integers, the last an augmentation."""
-    return (
-        isinstance(entry, list) and len(entry) == 4 and all(map(is_int, entry))
-        and entry[3] in AUG_NAMES
-    )
-
-
-class PackedDataset:
-    """Random access into a packed dataset file via a memory map."""
+class PackedDataset(PatchDataset):
+    """The patches of a packed file; ``corpus`` is its path.  A pair or a
+    window's rows is read with one positioned read per image, and the file
+    stays open until ``close`` or garbage collection.  A version 1 or 2 file
+    is refused: run ``dataset`` on its corpus again.
+    """
 
     def __init__(self, path) -> None:
-        header, payload = read_container(
-            path, PACKED_MAGIC, PACKED_VERSION, ("patch_size", "stride", "count", "provenance"),
-            DatasetError,
+        header, start, size = read_header(
+            path, PACKED_MAGIC, PACKED_VERSION, GRID_KEYS, DatasetError
         )
-        self.patch_size = header["patch_size"]
-        self.stride = header["stride"]
-        self._count = header["count"]
-        if not (is_int(self.patch_size, 1) and is_int(self.stride, 1) and is_int(self._count)):
+        grid = {key: header[key] for key in GRID_KEYS}
+        sources, height, width = grid["sources"], grid["height"], grid["width"]
+        if not all(map(is_int, (sources, height, width))):
+            raise DatasetError(f"{path}: sources, height and width must be integers >= 0")
+        if size - start != sources * 2 * height * width * 4:
             raise DatasetError(
-                f"{path}: patch_size and stride must be integers >= 1 and count an "
-                f"integer >= 0, got {self.patch_size!r}, {self.stride!r}, {self._count!r}"
+                f"{path}: payload is {size - start} bytes, not the {sources} pairs of "
+                f"{height}x{width} float32 images the header names (truncated or corrupt)"
             )
-        records = header["provenance"]
-        if not (isinstance(records, list) and all(map(_is_record, records))):
-            raise DatasetError(
-                f"{path}: provenance must be a list of [source, row, col, aug] "
-                "non-negative integers with a known augmentation code"
-            )
-        self.provenance = [PatchRef(*entry) for entry in records]
-        if self._count != len(self.provenance):
-            raise DatasetError(
-                f"{path}: header count {self._count} disagrees with "
-                f"{len(self.provenance)} provenance records"
-            )
-        expected = self._count * 2 * self.patch_size**2
-        if payload.size < expected:
-            raise DatasetError(
-                f"{path}: truncated payload ({payload.size} values, expected {expected})"
-            )
-        self._pairs = payload[:expected].reshape(self._count, 2, self.patch_size, self.patch_size)
+        try:
+            super().__init__(path, grid)
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: {exc}") from None
+        self._start = start
+        self._fd = os.open(path, os.O_RDONLY)
+        self._closer = weakref.finalize(self, os.close, self._fd)
 
-    def __len__(self) -> int:
-        return self._count
+    def close(self) -> None:
+        """Close the file; reading a patch afterwards raises ``OSError``."""
+        self._closer()
+        self._fd = -1
 
-    def __getitem__(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
-        if not 0 <= idx < self._count:
-            raise IndexError(idx)
-        return tuple(np.array(self._pairs[idx], dtype=np.float32))  # one owned copy of the pair
+    def _read(self, source: int, row: int, count: int) -> np.ndarray:
+        """Rows ``row`` to ``row + count`` of both members of pair ``source``."""
+        height, width = self.grid["height"], self.grid["width"]
+        out = np.empty((2, count, width), dtype="<f4")
+        for k in range(2):
+            offset = self._start + 4 * width * ((2 * source + k) * height + row)
+            if os.preadv(self._fd, [out[k]], offset) != out[k].nbytes:
+                raise DatasetError(f"{self.corpus}: file ends inside pair {source}")
+        return out
+
+    def pair(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(self._read(source, 0, self.grid["height"]))
+
+    def window_rows(self, ref: PatchRef) -> np.ndarray:
+        return self._read(ref.source, ref.row, self.patch_size)

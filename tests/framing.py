@@ -35,22 +35,28 @@ def edit_header(path, edit) -> None:
 
 
 
-def write_packed_raw(path, dataset, version=2) -> None:
+def write_packed_raw(path, dataset, version=3) -> None:
     """Write ``dataset`` in the packed layout of format ``version``, with no
-    check on its values.  Version 2 stores the pairs as one float32 array.
-    The retired version 1 has a ``"version"`` header key and, per patch, one
-    FPD1 image (magic, u32 width, u32 height, float32 pixels)."""
-    p = dataset.patch_size
-    header = {
-        "patch_size": p, "stride": dataset.stride, "count": len(dataset),
-        "provenance": [[r.source, r.row, r.col, r.aug] for r in dataset.provenance],
-    }
-    image = b""
+    check on its values.  Version 3 has the grid as its header and stores
+    each corpus pair once, as float32 clean then noisy image.  The retired
+    version 2 has the patch count and every provenance record in its header
+    and stores each patch pair as float32; the retired version 1 also has a
+    ``"version"`` header key and stores each patch image as one FPD1 image
+    (magic, u32 width, u32 height, float32 pixels)."""
+    if version == 3:
+        header = dataset.grid
+        images = (img for pair in dataset.corpus for img in pair)
+    else:
+        p = dataset.patch_size
+        header = {
+            "patch_size": p, "stride": dataset.stride, "count": len(dataset),
+            "provenance": [[r.source, r.row, r.col, r.aug] for r in dataset.provenance],
+        }
+        images = (img for i in range(len(dataset)) for img in dataset[i])
+    prefix = b""
     if version == 1:
         header["version"] = 1
-        image = b"FPD1" + struct.pack("<II", p, p)
+        prefix = b"FPD1" + struct.pack("<II", p, p)
     text = json.dumps(header, sort_keys=True).encode("ascii")
-    payload = b"".join(
-        image + np.asarray(img, "<f4").tobytes() for i in range(len(dataset)) for img in dataset[i]
-    )
+    payload = b"".join(prefix + np.asarray(img, "<f4").tobytes() for img in images)
     path.write_bytes(struct.pack("<4sII", b"FPDS", version, len(text)) + text + payload)

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,33 @@ class TestPipelineEndToEnd:
             "cpus": len(os.sched_getaffinity(0)),
         }
 
+class TestDatasetStreams:
+    def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        """``dataset`` reads one corpus pair at a time: on 12 pairs its traced
+        peak stays within one pair's bytes of its peak on 3 pairs.  Both
+        packed files exceed the 1 MB chunk that ``sha256_file`` reads."""
+        side = 256
+        rng = np.random.default_rng(2)
+        peaks = {}
+        for count in (3, 12):
+            corpus = tmp_path / f"corpus{count}"
+            for sub in ("clean", "noisy"):
+                (corpus / sub).mkdir(parents=True)
+                for k in range(count):
+                    write_image(rng.uniform(0, 255, (side, side)), corpus / sub / f"{k:04d}.fpd1")
+            argv = ["dataset", "--corpus", str(corpus), "--out", str(tmp_path / f"p{count}.fpds"),
+                    "--patch", "64", "--stride", "64"]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli_dispatch(argv) == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        pair_bytes = 2 * side * side * np.dtype(np.float32).itemsize
+        assert peaks[12] - peaks[3] < pair_bytes, peaks
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 1
@@ -465,7 +493,10 @@ class TestExitCodes:
     def test_malformed_packed_dataset_is_data_error(self, tmp_path, capsys):
         corruptions = [
             lambda p: edit_header(p, lambda h: h.pop("patch_size")),
-            lambda p: edit_header(p, lambda h: h["provenance"].__setitem__(0, [0, 0])),
+            lambda p: edit_header(p, lambda h: h.update(augmentations=[[0, 0]])),
+            lambda p: edit_header(p, lambda h: h.update(height=23)),
+            lambda p: edit_header(p, lambda h: h.update(sources=4)),
+            lambda p: edit_header(p, lambda h: h.pop("mode")),
             lambda p: edit_header(p, lambda h: h.update(patch_size="12")),
             lambda p: replace_header(p, "[1]"),
             lambda p: replace_header(p, "7"),
@@ -489,7 +520,16 @@ class TestExitCodes:
         out = tmp_path / "o"
         argv = ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]
         assert cli_dispatch(argv) == 2
-        assert "format version 1, expected 2" in single_error_line(capsys)
+        assert "format version 1, expected 3" in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_version_2_packed_dataset_is_data_error(self, tmp_path, capsys):
+        data, cfg_path = train_inputs(tmp_path)
+        write_packed_raw(data, PackedDataset(data), version=2)
+        out = tmp_path / "o"
+        argv = ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]
+        assert cli_dispatch(argv) == 2
+        assert "format version 2, expected 3" in single_error_line(capsys)
         assert not out.exists()
 
     def test_resume_with_negative_adam_moment_writes_nothing(self, tmp_path, capsys):

@@ -21,8 +21,9 @@ from framing import replace_header
 PIN_NET = NetworkConfig(stages=1, layers_per_stage=3, filters=2, kernel=3)
 # Digests of the files below: the checkpoint as written before the framing
 # moved into one module, the packed dataset as written since its format
-# version 2 (one float32 pair array).  A change needs a format version bump.
-PACKED_SHA256 = "8d8e48b03277cc94aaef241528bf57ac7c96b87ca61b54cc29d6fb7665bf3b9e"
+# version 3 (the grid as header, each source pair once).  A change needs a
+# format version bump.
+PACKED_SHA256 = "efc3e62b8f7655b4b51edbda78e73b9a90ec8b33eb090c6a5f2e000b95e06afd"
 CHECKPOINT_SHA256 = "aca4f428778a6d9e7e47915148f91b36db370acfdb92940bb766c627b1318b0e"
 
 

@@ -1,20 +1,18 @@
-import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fringe_denoise.container import write_container
 from fringe_denoise.dataset import (
     AUG_HFLIP,
     AUG_ROT90,
     AUG_ROT180,
     AUG_ROT270,
-    PACKED_MAGIC,
-    PACKED_VERSION,
     DatasetError,
     PackedDataset,
+    apply_augmentation,
     build_dataset,
     grid_offsets,
     write_packed,
@@ -139,18 +137,13 @@ class TestPacked:
         with pytest.raises(DatasetError, match="truncated"):
             PackedDataset(path)
 
-    def test_count_disagreeing_with_provenance_rejected(self, tmp_path):
+    def test_source_count_disagreeing_with_payload_rejected(self, tmp_path):
         ds = build_dataset(make_corpus(1, 96), patch_size=80, stride=16)
         path = tmp_path / "patches.bin"
         write_packed(path, ds)
-        blob = path.read_bytes()
-        hlen = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
-        header = json.loads(blob[12 : 12 + hlen])
-        assert header["count"] == 4
-        header["count"] = 2
-        text = json.dumps(header).encode("ascii")
-        path.write_bytes(blob[:8] + np.uint32(len(text)).tobytes() + text + blob[12 + hlen :])
-        with pytest.raises(DatasetError, match="provenance"):
+        assert read_header(path)["sources"] == 1
+        edit_header(path, lambda h: h.update(sources=2))
+        with pytest.raises(DatasetError, match="payload"):
             PackedDataset(path)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -172,20 +165,31 @@ class TestPackedHeaderChecks:
         "edit",
         [
             lambda h: h.pop("patch_size"),
-            lambda h: h["provenance"].__setitem__(0, [0, 0]),
+            lambda h: h.update(augmentations=[[1, 2]]),
             lambda h: h.update(patch_size="4"),
             lambda h: h.update(patch_size=0),
             lambda h: h.update(stride=0),
-            lambda h: h.update(count=4.0),
-            lambda h: h.update(provenance={"0": [0, 0, 0, 0]}),
-            lambda h: h["provenance"].__setitem__(0, [0, -16, 0, 0]),
-            lambda h: h["provenance"].__setitem__(0, [0, 0.5, 0, 0]),
-            lambda h: h["provenance"].__setitem__(0, [0, 0, 0, 9]),
+            lambda h: h.update(sources=1.0),
+            lambda h: h.update(augmentations={"1": 1}),
+            lambda h: h.update(height=-32),
+            lambda h: h.update(height=32.0),
+            lambda h: h.update(augmentations=[9]),
+            lambda h: h.pop("width"),
+            lambda h: h.update(mode="shuffle"),
+            lambda h: h.update(augmentations=[0]),
+            lambda h: h.update(patch_size=40),
+            lambda h: h.update(height=16, width=48),
+            lambda h: h.update(sources=-1),
         ],
+        # The ids up to unknown-augmentation name what version 2's
+        # provenance records had wrong; version 3 derives the records from
+        # these header fields, so the same mistakes are made in them.
         ids=[
             "no-patch_size", "two-integer-record", "string-patch_size", "zero-patch_size",
-            "zero-stride", "float-count", "provenance-object", "negative-row",
-            "float-row", "unknown-augmentation",
+            "zero-stride", "float-count", "augmentations-object", "negative-row",
+            "float-row", "unknown-augmentation", "no-width", "unknown-mode",
+            "identity-augmentation", "patch-above-image", "shape-off-payload",
+            "negative-sources",
         ],
     )
     def test_malformed_header_is_dataset_error(self, tmp_path, edit):
@@ -209,57 +213,52 @@ class TestPackedHeaderChecks:
             PackedDataset(path)
 
 
-def write_per_patch(path, dataset) -> None:
-    """The packed file as a writer of one array per patch member makes it:
-    every ``dataset[i]`` image through ``write_container`` in turn."""
-    header = {
-        "patch_size": dataset.patch_size,
-        "stride": dataset.stride,
-        "count": len(dataset),
-        "provenance": [[r.source, r.row, r.col, r.aug] for r in dataset.provenance],
-    }
-    images = (img for i in range(len(dataset)) for img in dataset[i])
-    write_container(path, PACKED_MAGIC, PACKED_VERSION, header, images, DatasetError)
+def shuffled(n, seed=0):
+    return np.random.default_rng(seed).permutation(n).tolist()
 
 
 class TestPerSourceBlocks:
-    """``write_packed`` cuts each source's patches as one block; its file is
-    byte-equal to the per-patch writer's."""
+    """``write_packed`` writes each source pair as one block; every patch
+    read back from its file equals the float32 patch a per-patch writer
+    stores, ``build_dataset``'s ``ds[i]``, and the source window under the
+    patch's augmentation."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["expand", "in_place"])
     def test_file_equals_per_patch_writer(self, tmp_path, mode, dtype):
         rng = np.random.default_rng(8)
-        shapes = [(37, 29), (24, 40), (31, 31), (16, 16)]
         corpus = [
-            (rng.uniform(-3, 300, s).astype(dtype), rng.uniform(0, 255, s).astype(dtype))
-            for s in shapes
+            (rng.uniform(-3, 300, (37, 29)).astype(dtype),
+             rng.uniform(0, 255, (37, 29)).astype(dtype))
+            for _ in range(4)
         ]
         augs = (AUG_HFLIP, AUG_ROT90, AUG_ROT180, AUG_ROT270)
         ds = build_dataset(corpus, patch_size=9, stride=5, augmentations=augs, mode=mode)
         assert {r.aug for r in ds.provenance} == {0, *augs}
         write_packed(tmp_path / "blocks.bin", ds)
-        write_per_patch(tmp_path / "patches.bin", ds)
-        assert (tmp_path / "blocks.bin").read_bytes() == (tmp_path / "patches.bin").read_bytes()
+        packed = PackedDataset(tmp_path / "blocks.bin")
+        assert packed.provenance == ds.provenance
+        for i in shuffled(len(ds)):
+            ref = ds.provenance[i]
+            window = (slice(ref.row, ref.row + 9), slice(ref.col, ref.col + 9))
+            for got, want, source in zip(packed[i], ds[i], corpus[ref.source]):
+                assert got.dtype == np.float32 and want.dtype == dtype
+                assert got.tobytes() == want.astype(np.float32).tobytes()
+                assert got.tobytes() == apply_augmentation(
+                    source[window].astype(np.float32), ref.aug
+                ).tobytes()
 
 
 class TestPackedVersion2:
-    """Version 2 stores the pairs as one (count, 2, patch, patch) float32 array."""
-
-    def test_layout(self, tmp_path):
-        ds = build_dataset(make_corpus(1, 32, seed=3), patch_size=16, stride=16)
-        write_packed(tmp_path / "lib.bin", ds)
-        write_packed_raw(tmp_path / "raw.bin", ds)
-        assert (tmp_path / "lib.bin").read_bytes() == (tmp_path / "raw.bin").read_bytes()
-        assert sorted(read_header(tmp_path / "lib.bin")) == [
-            "count", "patch_size", "provenance", "stride",
-        ]
+    """What version 2 brought and version 3 keeps: patches read as owned,
+    writable float32 arrays, no value that is not finite in float32 is
+    written, and a version 1 file is refused."""
 
     def test_version_1_file_is_refused(self, tmp_path):
         path = tmp_path / "patches.bin"
         ds = build_dataset(make_corpus(1, 32, seed=3), patch_size=16, stride=16)
         write_packed_raw(path, ds, version=1)
-        with pytest.raises(DatasetError, match="format version 1, expected 2"):
+        with pytest.raises(DatasetError, match="format version 1, expected 3"):
             PackedDataset(path)
 
     def test_patches_are_writable_copies(self, tmp_path):
@@ -279,6 +278,84 @@ class TestPackedVersion2:
         with pytest.raises(DatasetError, match="not finite in float32"):
             write_packed(tmp_path / "patches.bin", build_dataset(corpus, patch_size=8, stride=8))
         assert not list(tmp_path.iterdir())
+
+
+class TestPackedVersion3:
+    """Version 3 stores the grid as its header and each source pair once."""
+
+    def test_layout(self, tmp_path):
+        ds = build_dataset(make_corpus(2, 32, seed=3), patch_size=16, stride=16,
+                           augmentations=(AUG_ROT90, AUG_HFLIP, AUG_ROT90), mode="in_place")
+        write_packed(tmp_path / "lib.bin", ds)
+        write_packed_raw(tmp_path / "raw.bin", ds)
+        assert (tmp_path / "lib.bin").read_bytes() == (tmp_path / "raw.bin").read_bytes()
+        assert read_header(tmp_path / "lib.bin") == {
+            "patch_size": 16, "stride": 16, "augmentations": [AUG_ROT90, AUG_HFLIP],
+            "mode": "in_place", "sources": 2, "height": 32, "width": 32,
+        }
+        payload = (tmp_path / "lib.bin").read_bytes()[-2 * 2 * 32 * 32 * 4 :]
+        stored = np.frombuffer(payload, "<f4").reshape(2, 2, 32, 32)
+        np.testing.assert_array_equal(stored, np.array(ds.corpus))
+
+    def test_provenance_order_is_part_of_the_format(self):
+        """A packed file stores no records: readers derive them in this order."""
+        corpus = make_corpus(2, 24)
+        expand = build_dataset(corpus, patch_size=16, stride=8, augmentations=(AUG_ROT90,))
+        assert [(r.source, r.row, r.col, r.aug) for r in expand.provenance[:8]] == [
+            (0, 0, 0, 0), (0, 0, 8, 0), (0, 8, 0, 0), (0, 8, 8, 0),
+            (0, 0, 0, 2), (0, 0, 8, 2), (0, 8, 0, 2), (0, 8, 8, 2),
+        ]
+        in_place = build_dataset(corpus, patch_size=16, stride=8,
+                                 augmentations=(AUG_HFLIP, AUG_ROT90), mode="in_place")
+        assert [(r.source, r.row, r.col, r.aug) for r in in_place.provenance] == [
+            (0, 0, 0, 0), (0, 0, 8, 1), (0, 8, 0, 2), (0, 8, 8, 0),
+            (1, 0, 0, 0), (1, 0, 8, 1), (1, 8, 0, 2), (1, 8, 8, 0),
+        ]
+
+    def test_version_2_file_is_refused(self, tmp_path):
+        path = tmp_path / "patches.bin"
+        ds = build_dataset(make_corpus(1, 32, seed=3), patch_size=16, stride=16)
+        write_packed_raw(path, ds, version=2)
+        with pytest.raises(DatasetError, match="format version 2, expected 3"):
+            PackedDataset(path)
+
+    def test_mixed_shape_corpus_is_dataset_error_and_writes_no_file(self, tmp_path):
+        corpus = make_corpus(2, 32) + make_corpus(1, 40)
+        ds = build_dataset(corpus, patch_size=16, stride=16)
+        with pytest.raises(DatasetError, match="corpus pair 2 has shapes"):
+            write_packed(tmp_path / "patches.bin", ds)
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(DatasetError, match="corpus pair 2"):
+            ds[len(ds) - 1]
+        mismatched = [(np.zeros((32, 32)), np.zeros((32, 31)))]
+        with pytest.raises(DatasetError, match="corpus pair 0"):
+            write_packed(tmp_path / "patches.bin", build_dataset(mismatched, 16, 16))
+        assert not list(tmp_path.iterdir())
+
+    def test_packed_dataset_writes_its_own_file_again(self, tmp_path):
+        path = packed_16(tmp_path)
+        write_packed(tmp_path / "again.bin", PackedDataset(path))
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    def test_empty_corpus_round_trips(self, tmp_path):
+        write_packed(tmp_path / "empty.bin", build_dataset([], patch_size=16, stride=16))
+        packed = PackedDataset(tmp_path / "empty.bin")
+        assert len(packed) == 0 and packed.provenance == []
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+    def test_reader_maps_no_part_of_the_file(self, tmp_path):
+        path = packed_16(tmp_path)
+        packed = PackedDataset(path)
+        pairs = [packed[i] for i in range(len(packed))]
+        assert len(pairs) == 4
+        assert str(path) not in Path("/proc/self/maps").read_text()
+
+    def test_reading_after_close_is_os_error(self, tmp_path):
+        packed = PackedDataset(packed_16(tmp_path))
+        packed[0]
+        packed.close()
+        with pytest.raises(OSError):
+            packed[0]
 
 
 class TestPackedFuzz:
