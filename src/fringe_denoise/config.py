@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import IN_PLACE
 from .errors import FringeDenoiseError, check_fields
 from .network import NetworkConfig
 from .training import TrainConfig
@@ -38,7 +37,7 @@ class SimulateConfig:
     max_terms: int = 5
     awgn_count: int = 0
     awgn_sigma: float = 10.0
-    awgn_mode: str = IN_PLACE
+    awgn_mode: str = "in_place"
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -64,7 +63,7 @@ class SimulateConfig:
                 f"simulate.ar_sq must be > 0 and awgn_sigma >= 0, got "
                 f"{self.ar_sq} and {self.awgn_sigma}"
             )
-        if self.awgn_mode not in (IN_PLACE, "append"):
+        if self.awgn_mode not in ("in_place", "append"):
             raise ConfigError(
                 f"simulate.awgn_mode must be 'in_place' or 'append', got {self.awgn_mode!r}"
             )

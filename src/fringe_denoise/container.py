@@ -83,13 +83,10 @@ def read_header(
 def read_container(
     path, magic: bytes, version: int, required: tuple[str, ...], error: type[Exception]
 ) -> tuple[dict, np.ndarray]:
-    """Returns (header, payload) with the payload as a read-only float32 map.
+    """Returns (header, payload) with the payload read as float32 in one call.
 
     Fails as ``read_header`` does.
     """
     header, start, size = read_header(path, magic, version, required, error)
     count = (size - start) // 4  # a partial trailing value is not part of the payload
-    if count == 0:  # older numpy cannot map zero bytes at the end of a file
-        return header, np.zeros(0, dtype="<f4")
-    # A plain ndarray view of the map: np.memmap's own indexing costs microseconds a call.
-    return header, np.asarray(np.memmap(path, dtype="<f4", mode="r", offset=start, shape=(count,)))
+    return header, np.fromfile(path, dtype="<f4", count=count, offset=start)

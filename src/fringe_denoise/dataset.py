@@ -2,8 +2,10 @@
 
 Patches are cut on a regular grid (offsets 0, stride, 2*stride, ... up to
 the largest fit) from a corpus of aligned clean/noisy pairs of one shape.
-Each patch's provenance (source, row, column, augmentation) is derived from
-the grid by ``patch_refs``, never stored, and its pixels are cut on demand.
+A dataset holds its corpus and that grid, nothing per patch: each patch's
+provenance (source, row, column, augmentation) is decoded from its index
+when it is read, and its pixels are cut on demand.  Opening a dataset
+costs the same for ten patches as for millions.
 
 The packed form uses the shared container framing (``container.py``) with
 magic ``FPDS``: the grid as header, then each source pair once, as float32
@@ -13,9 +15,10 @@ only the rows its window covers, one positioned read per image.
 
 from __future__ import annotations
 
+import operator
 import os
 import weakref
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +43,7 @@ AUG_CODES = {name: code for code, name in AUG_NAMES.items()}
 EXPAND = "expand"
 IN_PLACE = "in_place"
 
-# The arguments of ``patch_refs``: a dataset's grid and a packed file's header.
+# A dataset's grid and a packed file's header.
 GRID_KEYS = ("patch_size", "stride", "augmentations", "mode", "sources", "height", "width")
 
 
@@ -63,8 +66,7 @@ def apply_augmentation(patch: np.ndarray, code: int) -> np.ndarray:
     raise DatasetError(f"unknown augmentation code {code}")
 
 
-@dataclass(frozen=True)
-class PatchRef:
+class PatchRef(NamedTuple):
     source: int
     row: int
     col: int
@@ -76,62 +78,67 @@ def grid_offsets(dim: int, patch_size: int, stride: int) -> range:
     return range(0, dim - patch_size + 1, stride)
 
 
-def patch_refs(
-    patch_size, stride, augmentations, mode, sources: int, height: int, width: int
-) -> list[PatchRef]:
-    """Every patch of ``sources`` images of ``height`` x ``width``, in dataset order.
-
-    ``mode="expand"`` emits one extra copy of every patch per selected
-    augmentation; ``mode="in_place"`` keeps the base patch count and
-    assigns augmentations round-robin over the grid (deterministic, no
-    randomness involved).
-    """
-    if not (is_int(patch_size, 1) and is_int(stride, 1)):
-        raise DatasetError(
-            f"patch size and stride must be integers >= 1, got {patch_size!r} and {stride!r}"
-        )
-    if mode not in (EXPAND, IN_PLACE):
-        raise DatasetError(f"unknown augmentation mode {mode!r}")
-    if not isinstance(augmentations, (list, tuple)) or not all(
-        is_int(a, 1) and a in AUG_NAMES for a in augmentations
-    ):
-        raise DatasetError(f"augmentations are extra codes 1-4, got {augmentations!r}; "
-                           "the identity is implicit")
-    if sources and (height < patch_size or width < patch_size):
-        raise DatasetError(
-            f"corpus image 0 ({height}x{width}) is smaller than the "
-            f"{patch_size}x{patch_size} patch"
-        )
-    variants = [AUG_NONE, *dict.fromkeys(augmentations)]
-    base = [
-        (r, c)
-        for r in grid_offsets(height, patch_size, stride)
-        for c in grid_offsets(width, patch_size, stride)
-    ]
-    if mode == EXPAND:
-        return [PatchRef(s, r, c, aug) for s in range(sources) for aug in variants for r, c in base]
-    return [
-        PatchRef(s, r, c, variants[k % len(variants)])
-        for s in range(sources)
-        for k, (r, c) in enumerate(base)
-    ]
-
-
 class PatchDataset:
     """Grid patches of an indexable corpus of clean/noisy pairs, cut on demand.
 
-    ``grid`` holds ``patch_refs``'s arguments by name: the packed header.
+    ``grid`` holds ``GRID_KEYS`` by name: the packed header.  Patches are
+    ordered by source; then, with ``mode="expand"``, by variant (the base
+    patch, then one extra copy per selected augmentation), row and column;
+    with ``mode="in_place"``, by row and column, each patch taking the
+    variants round-robin over its source's grid (deterministic, no
+    randomness involved).  ``ref`` decodes an index into that order.
     """
 
     def __init__(self, corpus, grid: dict) -> None:
+        patch_size, stride, mode = grid["patch_size"], grid["stride"], grid["mode"]
+        augmentations, height, width = grid["augmentations"], grid["height"], grid["width"]
+        if not (is_int(patch_size, 1) and is_int(stride, 1)):
+            raise DatasetError(
+                f"patch size and stride must be integers >= 1, got {patch_size!r} and {stride!r}"
+            )
+        if mode not in (EXPAND, IN_PLACE):
+            raise DatasetError(f"unknown augmentation mode {mode!r}")
+        if not isinstance(augmentations, (list, tuple)) or not all(
+            is_int(a, 1) and a in AUG_NAMES for a in augmentations
+        ):
+            raise DatasetError(f"augmentations are extra codes 1-4, got {augmentations!r}; "
+                               "the identity is implicit")
+        if grid["sources"] and (height < patch_size or width < patch_size):
+            raise DatasetError(
+                f"corpus image 0 ({height}x{width}) is smaller than the "
+                f"{patch_size}x{patch_size} patch"
+            )
         self.corpus = corpus
         self.grid = grid
-        self.patch_size = grid["patch_size"]
-        self.stride = grid["stride"]
-        self.provenance = patch_refs(**grid)
+        self.patch_size = patch_size
+        self.stride = stride
+        self._rows = grid_offsets(height, patch_size, stride)
+        self._cols = grid_offsets(width, patch_size, stride)
+        self._variants = (AUG_NONE, *dict.fromkeys(augmentations))
+        self._per_source = len(self._rows) * len(self._cols)
+        if mode == EXPAND:
+            self._per_source *= len(self._variants)
 
     def __len__(self) -> int:
-        return len(self.provenance)
+        return self.grid["sources"] * self._per_source
+
+    def ref(self, idx) -> PatchRef:
+        """Patch ``idx``'s provenance; ``idx`` is a list index."""
+        n, i = len(self), operator.index(idx)
+        if not -n <= i < n:
+            raise IndexError(f"patch index {i} is out of range for {n} patches")
+        source, k = divmod(i % n, self._per_source)
+        if self.grid["mode"] == EXPAND:
+            variant, k = divmod(k, len(self._rows) * len(self._cols))
+        else:
+            variant = k % len(self._variants)
+        row, col = divmod(k, len(self._cols))
+        return PatchRef(source, self._rows[row], self._cols[col], self._variants[variant])
+
+    @property
+    def provenance(self) -> list[PatchRef]:
+        """Every patch's ``ref``, in dataset order, built when read."""
+        return [self.ref(i) for i in range(len(self))]
 
     def pair(self, source: int) -> tuple[np.ndarray, np.ndarray]:
         """Corpus pair ``source``; a pair not of the grid's shape is a ``DatasetError``."""
@@ -152,7 +159,7 @@ class PatchDataset:
     def __getitem__(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
         """Patch pair ``idx`` as owned arrays: its window's columns of
         ``window_rows``, augmented."""
-        ref = self.provenance[idx]
+        ref = self.ref(idx)
         cols = slice(ref.col, ref.col + self.patch_size)
         clean, noisy = (
             apply_augmentation(rows[:, cols], ref.aug).copy() for rows in self.window_rows(ref)
@@ -168,7 +175,7 @@ def build_dataset(
     mode: str = EXPAND,
 ) -> PatchDataset:
     """Cut every pair of ``corpus``, a sequence of same-shape pairs, into grid
-    patches, optionally augmented (see ``patch_refs``).
+    patches, optionally augmented (see ``PatchDataset``).
 
     Only pair 0 is read here, for the shape; every later read of a pair
     checks it against that shape.

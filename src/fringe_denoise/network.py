@@ -134,10 +134,6 @@ def iter_tensors(params: NetworkParams, trainable_only: bool = False):
                     yield f"{prefix}.bn.running_var", layer.bn.running_var
 
 
-def parameter_count(params: NetworkParams) -> int:
-    return sum(a.size for _, a in iter_tensors(params, trainable_only=True))
-
-
 def network_forward(
     z: np.ndarray,
     params: NetworkParams,

@@ -145,24 +145,20 @@ def holdout_split(dataset, fraction: float, seed: int) -> tuple[np.ndarray, np.n
     """Split patch indices into train/eval by provenance source image.
 
     Holding out whole source images prevents near-duplicate patches of one
-    image from appearing on both sides.  Falls back to a plain patch split
+    image from appearing on both sides.  Every source has the same patch
+    count (one grid over one shape), so patch ``i`` is of source
+    ``i // (len(dataset) // sources)``.  Falls back to a plain patch split
     when the dataset has fewer than two sources.
     """
-    sources = np.array([p.source for p in dataset.provenance])
+    n = len(dataset)
+    sources = np.arange(n) // (n // dataset.grid["sources"]) if n else np.arange(0)
     unique = np.unique(sources)
-    if fraction <= 0 or len(dataset) < 2:
-        return np.arange(len(dataset)), np.array([], dtype=np.int64)
-    rng = derive_rng(seed, 4, 0)
-    if len(unique) >= 2:
-        shuffled = rng.permutation(unique)
-        n_hold = max(1, int(round(fraction * len(unique))))
-        held = set(shuffled[:n_hold].tolist())
-        mask = np.array([s in held for s in sources])
-    else:
-        idx = rng.permutation(len(dataset))
-        n_hold = max(1, int(round(fraction * len(dataset))))
-        mask = np.zeros(len(dataset), dtype=bool)
-        mask[idx[:n_hold]] = True
+    if fraction <= 0 or n < 2:
+        return np.arange(n), np.array([], dtype=np.int64)
+    if len(unique) < 2:  # one source: each patch is held out on its own
+        sources = unique = np.arange(n)
+    n_hold = max(1, int(round(fraction * len(unique))))
+    mask = np.isin(sources, derive_rng(seed, 4, 0).permutation(unique)[:n_hold])
     return np.nonzero(~mask)[0], np.nonzero(mask)[0]
 
 
@@ -220,11 +216,11 @@ def train(
     """Joint training over all stages; returns final parameters and the log.
 
     ``dataset`` must expose ``__len__``, ``__getitem__ -> (clean, noisy)``
-    and a ``provenance`` sequence.  Patches are consumed in the [0, 255]
-    intensity range as stored.  One log row is appended per epoch; on eval
-    epochs it carries held-out metrics and a checkpoint is written.  A
-    resumed run's log starts with the rows its checkpoint stored, which
-    have no ``seconds``.
+    and a ``grid`` naming its ``sources``, as ``PatchDataset`` does.
+    Patches are consumed in the [0, 255] intensity range as stored.  One
+    log row is appended per epoch; on eval epochs it carries held-out
+    metrics and a checkpoint is written.  A resumed run's log starts with
+    the rows its checkpoint stored, which have no ``seconds``.
     """
     from .checkpoint import CheckpointError, config_digest, load_checkpoint, save_checkpoint
 

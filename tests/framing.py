@@ -34,6 +34,15 @@ def edit_header(path, edit) -> None:
     replace_header(path, json.dumps(header, sort_keys=True))
 
 
+def write_zero_source_header(path, side) -> None:
+    """A version-3 packed file of no sources whose header names the densest
+    grid (1x1 patches at stride 1) over ``side`` x ``side`` images: the
+    prelude and header, no payload."""
+    grid = {"patch_size": 1, "stride": 1, "augmentations": [], "mode": "expand",
+            "sources": 0, "height": side, "width": side}
+    text = json.dumps(grid, sort_keys=True).encode("ascii")
+    path.write_bytes(struct.pack("<4sII", b"FPDS", 3, len(text)) + text)
+
 
 def write_packed_raw(path, dataset, version=3) -> None:
     """Write ``dataset`` in the packed layout of format ``version``, with no

@@ -31,7 +31,13 @@ from fringe_denoise.network import (
 )
 from fringe_denoise.training import TrainConfig, holdout_split, train
 
-from framing import edit_header, read_header, replace_header, write_packed_raw
+from framing import (
+    edit_header,
+    read_header,
+    replace_header,
+    write_packed_raw,
+    write_zero_source_header,
+)
 
 TINY_NET = {"stages": 1, "layers_per_stage": 3, "filters": 2, "kernel": 3}
 
@@ -530,6 +536,16 @@ class TestExitCodes:
         argv = ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]
         assert cli_dispatch(argv) == 2
         assert "format version 2, expected 3" in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_zero_source_packed_dataset_is_data_error(self, tmp_path, capsys):
+        _, cfg_path = train_inputs(tmp_path)
+        data = tmp_path / "empty.fpds"
+        write_zero_source_header(data, 2000)
+        out = tmp_path / "o"
+        argv = ["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]
+        assert cli_dispatch(argv) == 2
+        assert "fewer than one batch" in single_error_line(capsys)
         assert not out.exists()
 
     def test_resume_with_negative_adam_moment_writes_nothing(self, tmp_path, capsys):

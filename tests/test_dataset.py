@@ -1,8 +1,9 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fringe_denoise.dataset import (
@@ -18,8 +19,16 @@ from fringe_denoise.dataset import (
     write_packed,
 )
 from fringe_denoise.image_io import ImageFormatError
+from fringe_denoise.seeding import derive_rng
+from fringe_denoise.training import holdout_split
 
-from framing import edit_header, read_header, replace_header, write_packed_raw
+from framing import (
+    edit_header,
+    read_header,
+    replace_header,
+    write_packed_raw,
+    write_zero_source_header,
+)
 
 
 def make_corpus(n, size, seed=0):
@@ -382,3 +391,168 @@ class TestPackedFuzz:
         assert not truncate, "a truncated packed file read back"
         p = packed.patch_size
         assert all(img.shape == (p, p) for pair in pairs for img in pair)
+
+
+def enumerated_refs(patch, stride, augmentations, mode, sources, height, width):
+    """Every record in dataset order by direct enumeration, as datasets
+    listed them when they stored one record per patch."""
+    variants = [0, *dict.fromkeys(augmentations)]
+    base = [
+        (r, c)
+        for r in range(0, height - patch + 1, stride)
+        for c in range(0, width - patch + 1, stride)
+    ]
+    if mode == "expand":
+        return [(s, r, c, aug) for s in range(sources) for aug in variants for r, c in base]
+    return [
+        (s, r, c, variants[k % len(variants)])
+        for s in range(sources)
+        for k, (r, c) in enumerate(base)
+    ]
+
+
+def fields(ref):
+    return ref.source, ref.row, ref.col, ref.aug
+
+
+# Each augmentation written out with numpy alone.
+AUGMENTED = {
+    0: lambda x: x,
+    AUG_HFLIP: lambda x: x[:, ::-1],
+    AUG_ROT90: np.rot90,
+    AUG_ROT180: lambda x: np.rot90(x, 2),
+    AUG_ROT270: lambda x: np.rot90(x, 3),
+}
+
+
+@st.composite
+def grids(draw):
+    height = draw(st.integers(1, 23), label="height")
+    width = draw(st.integers(1, 23), label="width")
+    return {
+        "sources": draw(st.integers(0, 3), label="sources"),
+        "height": height,
+        "width": width,
+        "patch_size": draw(st.integers(1, min(height, width)), label="patch"),
+        "stride": draw(st.integers(1, 9), label="stride"),
+        "augmentations": draw(st.lists(st.integers(1, 4), max_size=6), label="augs"),
+        "mode": draw(st.sampled_from(["expand", "in_place"]), label="mode"),
+    }
+
+
+class TestDerivedRecords:
+    """A dataset holds no records: ``ref(i)`` decodes index ``i`` from the
+    grid, in the order the direct enumeration lists them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids())
+    def test_records_and_patches_equal_the_enumeration(self, tmp_path_factory, grid):
+        rng = np.random.default_rng(grid["sources"] * 31 + grid["height"])
+        corpus = [
+            tuple(rng.uniform(0, 255, (grid["height"], grid["width"])).astype(np.float32)
+                  for _ in range(2))
+            for _ in range(grid["sources"])
+        ]
+        p = grid["patch_size"]
+        ds = build_dataset(corpus, p, grid["stride"], grid["augmentations"], grid["mode"])
+        want = enumerated_refs(p, grid["stride"], grid["augmentations"], grid["mode"],
+                               grid["sources"], grid["height"], grid["width"])
+        assert len(ds) == len(want)
+        assert [fields(r) for r in ds.provenance] == want
+        path = tmp_path_factory.mktemp("grid") / "patches.bin"
+        write_packed(path, ds)
+        packed = PackedDataset(path)
+        assert len(packed) == len(want) and packed.provenance == ds.provenance
+        for i, (s, r, c, aug) in enumerate(want):
+            assert fields(ds.ref(i)) == fields(packed.ref(i)) == (s, r, c, aug)
+            for got, source in zip(ds[i], corpus[s]):
+                assert got.tobytes() == AUGMENTED[aug](source[r : r + p, c : c + p]).tobytes()
+            for got, want_img in zip(packed[i], ds[i]):
+                assert got.tobytes() == want_img.tobytes()
+
+    def test_index_has_list_semantics(self):
+        corpus = make_corpus(2, 24, seed=1)
+        ds = build_dataset(corpus, patch_size=16, stride=8, augmentations=(AUG_ROT90,))
+        n = len(ds)
+        assert n == 16
+        assert fields(ds.ref(-1)) == fields(ds.ref(n - 1)) == (1, 8, 8, AUG_ROT90)
+        assert ds.ref(-n) == ds.ref(0)
+        for got, want in zip(ds[-1], ds[n - 1]):
+            np.testing.assert_array_equal(got, want)
+        for idx in (np.int64(5), np.int32(5), np.uint8(5)):
+            assert ds.ref(idx) == ds.ref(5)
+            for got, want in zip(ds[idx], ds[5]):
+                np.testing.assert_array_equal(got, want)
+        for idx in (n, n + 1, -n - 1):
+            with pytest.raises(IndexError):
+                ds[idx]
+        with pytest.raises(TypeError):
+            ds[1.0]
+        with pytest.raises(IndexError):
+            build_dataset([], patch_size=16, stride=8)[0]
+
+
+def holdout_by_records(dataset, fraction, seed):
+    """``holdout_split`` over the list of every record: the per-record loop
+    the arithmetic split must reproduce."""
+    sources = np.array([p.source for p in dataset.provenance])
+    unique = np.unique(sources)
+    if fraction <= 0 or len(dataset) < 2:
+        return np.arange(len(dataset)), np.array([], dtype=np.int64)
+    rng = derive_rng(seed, 4, 0)
+    if len(unique) >= 2:
+        shuffled = rng.permutation(unique)
+        n_hold = max(1, int(round(fraction * len(unique))))
+        held = set(shuffled[:n_hold].tolist())
+        mask = np.array([s in held for s in sources])
+    else:
+        idx = rng.permutation(len(dataset))
+        n_hold = max(1, int(round(fraction * len(dataset))))
+        mask = np.zeros(len(dataset), dtype=bool)
+        mask[idx[:n_hold]] = True
+    return np.nonzero(~mask)[0], np.nonzero(mask)[0]
+
+
+class TestHoldoutSplit:
+    @pytest.mark.parametrize(
+        "sources, mode, fraction",
+        [(7, "expand", 0.3), (7, "in_place", 0.3), (5, "expand", 0.9), (1, "expand", 0.25),
+         (1, "in_place", 0.5), (7, "expand", 0.0), (1, "expand", 0.0), (2, "in_place", 0.1)],
+        ids=["expand", "in_place", "most-held", "one-source-expand", "one-source-in_place",
+             "fraction-0", "one-source-fraction-0", "two-sources"],
+    )
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_equals_the_per_record_split(self, sources, mode, fraction, seed):
+        ds = build_dataset(make_corpus(sources, 30, seed=seed), patch_size=10, stride=7,
+                           augmentations=(AUG_HFLIP, AUG_ROT180), mode=mode)
+        got = holdout_split(ds, fraction, seed)
+        want = holdout_by_records(ds, fraction, seed)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    def test_zero_sources_give_empty_splits(self, tmp_path):
+        write_zero_source_header(tmp_path / "empty.fpds", 2000)
+        empty = build_dataset([], patch_size=8, stride=8)
+        for ds in (empty, PackedDataset(tmp_path / "empty.fpds")):
+            train_idx, eval_idx = holdout_split(ds, 0.5, 0)
+            assert train_idx.size == eval_idx.size == 0
+
+
+class TestZeroSourceHeader:
+    """A header naming no sources costs nothing to open, whatever image
+    size it names."""
+
+    def test_opens_empty_without_allocating(self, tmp_path):
+        path = tmp_path / "empty.fpds"
+        write_zero_source_header(path, 2000)
+        assert path.stat().st_size == 126
+        tracemalloc.start()
+        try:
+            packed = PackedDataset(path)
+            n = len(packed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n == 0 and packed.provenance == []
+        assert peak < 1 << 20

@@ -19,7 +19,6 @@ from fringe_denoise.network import (
     iter_tensors,
     network_backward,
     network_forward,
-    parameter_count,
 )
 from fringe_denoise.training import euclid_loss
 
@@ -62,7 +61,7 @@ class TestBuild:
             + (f * k * k + 1)
         )
         assert closed_form == 1_856_451
-        assert parameter_count(params) == closed_form
+        assert sum(a.size for _, a in iter_tensors(params, trainable_only=True)) == closed_form
 
     def test_same_seed_same_parameters(self):
         cfg = NetworkConfig(stages=2, layers_per_stage=3, filters=4)
