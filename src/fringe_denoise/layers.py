@@ -114,6 +114,11 @@ def _stacked_taps(flat: np.ndarray, shifts: list[int], r: int) -> np.ndarray:
     return cols
 
 
+# Byte budget of the tap-product buffer.  Above about 4.3 MB every 16-filter
+# shape of the desk net and of 256-square inference stays in one block.
+PRODUCT_BYTES = 9 << 19  # 4.5 MiB
+
+
 def _shifted_conv(
     rows: np.ndarray, taps: np.ndarray, n: int, h: int, w: int
 ) -> np.ndarray:
@@ -121,7 +126,11 @@ def _shifted_conv(
 
     Returns an (N, M, H, W) view of the cropped output.  A one-channel input
     folds its k*k taps into a single GEMM; otherwise each tap adds one GEMM
-    over a shifted slice of ``rows``.
+    over a shifted slice of ``rows``.  Those tap products pass through one
+    buffer of at most ``PRODUCT_BYTES``: the output is walked in row blocks
+    that fit it, each block taking every tap in order.  The buffer is freed
+    on return; the output buffer, padded grid included, lives as long as the
+    returned view.
     """
     k, _, c, m = taps.shape
     taps = taps.reshape(k * k, c, m)
@@ -130,11 +139,15 @@ def _shifted_conv(
     if c == 1:
         np.matmul(_stacked_taps(rows[:, 0], shifts, r).T, taps[:, 0], out=out[:r])
     else:
-        np.matmul(rows[:r], taps[0], out=out[:r])
-        product = np.empty((r, m), dtype=rows.dtype)
-        for s, tap in zip(shifts[1:], taps[1:]):
-            np.matmul(rows[s : s + r], tap, out=product)
-            out[:r] += product
+        block = max(1, min(r, PRODUCT_BYTES // (m * out.itemsize)))
+        product = np.empty((block, m), dtype=rows.dtype)
+        for lo in range(0, r, block):
+            hi = min(lo + block, r)
+            acc, prod = out[lo:hi], product[: hi - lo]
+            np.matmul(rows[lo:hi], taps[0], out=acc)
+            for s, tap in zip(shifts[1:], taps[1:]):
+                np.matmul(rows[s + lo : s + hi], tap, out=prod)
+                acc += prod
     return out.reshape(n, h + k - 1, w + k - 1, m)[:, :h, :w].transpose(0, 3, 1, 2)
 
 
@@ -170,6 +183,11 @@ def conv2d_backward(
     map: the same shifted-slice convolution of ``grad_out`` with the filter
     bank rotated 180 degrees and transposed in its channel axes.  With
     ``need_input_grad`` false it is skipped and returned as ``None``.
+
+    Beyond its arguments the call holds the padded rows of ``x`` and of
+    ``grad_out`` while the weight gradient is formed.  The input rows are
+    freed once it is done; the gradient rows feed the adjoint and are freed
+    before its output is copied out as the NCHW input gradient.
     """
     n, c, h, w = x.shape
     m = params.out_channels
@@ -192,11 +210,14 @@ def conv2d_backward(
         grad_taps = _stacked_taps(rows[:, 0], shifts, r) @ g
     else:
         grad_taps = np.stack([rows[s : s + r].T @ g for s in shifts])
+    del rows, g
     grad_w = np.ascontiguousarray(grad_taps.reshape(k, k, c, m).transpose(3, 2, 0, 1))
     grad_x = None
     if need_input_grad:
         adjoint = params.weights[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).astype(dtype)
-        grad_x = np.ascontiguousarray(_shifted_conv(grad_rows, adjoint, n, h, w))
+        grad_x = _shifted_conv(grad_rows, adjoint, n, h, w)
+        del grad_rows
+        grad_x = np.ascontiguousarray(grad_x)
     return grad_x, grad_w, grad_bias
 
 
@@ -215,9 +236,13 @@ def leaky_relu_backward(x: np.ndarray, alpha: float, grad_out: np.ndarray) -> np
     if x.shape != grad_out.shape:
         raise ShapeError(f"shape mismatch: input {x.shape} vs grad {grad_out.shape}")
     # A two-entry lookup on the sign mask builds the slope far faster than
-    # np.where, and gives the same values.
-    slope = np.take(np.array([alpha, 1.0], dtype=x.dtype), (x >= 0).view(np.uint8))
-    return grad_out * slope
+    # np.where, and gives the same values.  np.take widens its index to
+    # intp, so it runs one sample at a time to bound that copy.
+    table = np.array([alpha, 1.0], dtype=x.dtype)
+    out = np.empty(x.shape, dtype=np.result_type(grad_out, x))
+    for b in range(x.shape[0]):
+        np.multiply(grad_out[b], np.take(table, (x[b] >= 0).view(np.uint8)), out=out[b])
+    return out
 
 
 def batchnorm_forward(
@@ -283,14 +308,20 @@ def batchnorm_backward(
         raise ValueError("batchnorm_backward requires a TRAIN-mode cache")
     x_hat, inv_std, gamma, count = cache
     grad_beta = grad_out.sum(axis=(0, 2, 3))
-    grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
+    # One scratch array holds each product with x_hat in turn; the result
+    # is built in place in g.  Every step is the elementwise operation of
+    # inv_std / count * (count * g - sum_g - x_hat * sum_gx) in its order.
+    scratch = grad_out * x_hat
+    grad_gamma = scratch.sum(axis=(0, 2, 3))
     g = grad_out * gamma[None, :, None, None]
     sum_g = g.sum(axis=(0, 2, 3))
-    sum_gx = (g * x_hat).sum(axis=(0, 2, 3))
-    grad_x = (inv_std[None, :, None, None] / count) * (
-        count * g - sum_g[None, :, None, None] - x_hat * sum_gx[None, :, None, None]
-    )
-    return grad_x, grad_gamma, grad_beta
+    sum_gx = np.multiply(g, x_hat, out=scratch).sum(axis=(0, 2, 3))
+    g *= count
+    g -= sum_g[None, :, None, None]
+    g -= np.multiply(x_hat, sum_gx[None, :, None, None], out=scratch)
+    del scratch
+    g *= inv_std[None, :, None, None] / count
+    return g, grad_gamma, grad_beta
 
 
 def he_init(shape: tuple, fan_in: int, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:

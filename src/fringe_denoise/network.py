@@ -193,6 +193,13 @@ def network_backward(
     tensor bit for bit.  The batch-norm shift is read from ``params``, so
     call this before the parameters are updated.  Returns a dict keyed like
     ``iter_tensors(..., trainable_only=True)``.
+
+    Beyond the caches, a layer holds only the gradient flowing in and what
+    its next kernel reads.  A rebuilt pre-activation lives only for the call
+    that reads it: the conv input is made from it and it is dropped before
+    the conv, then rebuilt after the conv for the leaky-ReLU gradient.  The
+    conv input is dropped after its conv, each gradient when the next
+    replaces it.
     """
     if caches is None:
         raise ValueError("network_backward requires caches from a TRAIN-mode forward")
@@ -203,20 +210,18 @@ def network_backward(
         for d, layer in enumerate(stage)
     ]
     g = grad_v
-    pre = None  # the walked layer's pre-activation, rebuilt by the layer after it
     for i in reversed(range(len(flat_layers))):
         s, d, layer = flat_layers[i]
         conv_in, bn_cache, _ = caches[i]
         if layer.alpha is not None:
-            g = leaky_relu_backward(pre, layer.alpha, g)
+            g = leaky_relu_backward(_pre_activation(caches[i], layer), layer.alpha, g)
         if layer.bn is not None:
             g, g_gamma, g_beta = batchnorm_backward(bn_cache, g)
             grads[f"s{s:02d}.l{d:02d}.bn.gamma"] = g_gamma
             grads[f"s{s:02d}.l{d:02d}.bn.beta"] = g_beta
         if conv_in is None:
             prev = flat_layers[i - 1][2]
-            pre = _pre_activation(caches[i - 1], prev)
-            conv_in = leaky_relu_forward(pre, prev.alpha)
+            conv_in = leaky_relu_forward(_pre_activation(caches[i - 1], prev), prev.alpha)
         # The network input needs no gradient, so the very first conv
         # skips its adjoint convolution.
         first = s == 0 and d == 0

@@ -443,7 +443,7 @@ class TestExitCodes:
         ds = build_dataset(corpus, patch_size=12, stride=12)
         _, held = holdout_split(ds, 0.5, 5)
         for i in held:  # NaN in held-out sources only: training itself runs clean
-            ds.corpus[ds.provenance[int(i)].source][1][0, 0] = np.nan
+            ds.corpus[ds.ref(i).source][1][0, 0] = np.nan
         data = tmp_path / "patches.bin"
         write_packed_raw(data, ds)
         cfg_path = tmp_path / "run.json"
@@ -840,7 +840,7 @@ class TestRefusedFirstEpochLeavesNoOut:
         corpus = self.noisy_corpus(6)
         ds = build_dataset(corpus, patch_size=12, stride=12)
         _, held = holdout_split(ds, 0.5, 5)  # NaN in held-out sources only
-        held_sources = {ds.provenance[int(i)].source for i in held}
+        held_sources = {ds.ref(i).source for i in held}
         self.run_train(tmp_path, corpus, {
             "train": {"batch_size": 4, "epochs": 1}, "eval": {"holdout_fraction": 0.5},
         }, nan_sources=held_sources)

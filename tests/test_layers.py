@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fringe_denoise import layers
 from fringe_denoise.layers import (
     INFER,
     TRAIN,
@@ -201,6 +202,58 @@ def test_float64_input_promotes_float32_filters():
     assert rel_err(out, naive_conv2d(x, p32.weights.astype(np.float64), p32.bias)) < 1e-12
 
 
+def one_block_shifted_conv(rows, taps, n, h, w):
+    """``_shifted_conv`` with every tap product in one (R, M) buffer, the
+    form it had before the products were walked in row blocks."""
+    k, _, c, m = taps.shape
+    taps = taps.reshape(k * k, c, m)
+    r, shifts = layers._tap_geometry(n, h, w, k)
+    out = np.empty((n * (h + k - 1) * (w + k - 1), m), dtype=rows.dtype)
+    np.matmul(rows[:r], taps[0], out=out[:r])
+    product = np.empty((r, m), dtype=rows.dtype)
+    for s, tap in zip(shifts[1:], taps[1:]):
+        np.matmul(rows[s : s + r], tap, out=product)
+        out[:r] += product
+    return out.reshape(n, h + k - 1, w + k - 1, m)[:, :h, :w].transpose(0, 3, 1, 2)
+
+
+class TestBlockedTapProducts:
+    # 64 filters on 4 x 72 x 72: about 22.8k output rows of 256 bytes, which
+    # the product budget splits into at least two row blocks.
+    N, C, M, K, H, W = 4, 64, 64, 5, 72, 72
+
+    def case(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((self.N, self.C, self.H, self.W)).astype(np.float32)
+        p = make_conv(rng, self.M, self.C, self.K, np.float32)
+        g = rng.standard_normal((self.N, self.M, self.H, self.W)).astype(np.float32)
+        r, _ = layers._tap_geometry(self.N, self.H, self.W, self.K)
+        assert r * self.M * 4 > layers.PRODUCT_BYTES  # two blocks or more
+        return x, p, g
+
+    def test_forward_bitwise_equal_to_one_block(self):
+        x, p, _ = self.case()
+        rows = layers._padded_rows(x, self.K // 2, np.float32)
+        taps = p.weights.transpose(2, 3, 1, 0).astype(np.float32)
+        expect = np.add(
+            one_block_shifted_conv(rows, taps, self.N, self.H, self.W),
+            p.bias[None, :, None, None],
+            order="C",
+        )
+        np.testing.assert_array_equal(conv2d_forward(x, p).view(np.uint32), expect.view(np.uint32))
+
+    def test_input_gradient_bitwise_equal_to_one_block(self):
+        x, p, g = self.case()
+        grad_rows = layers._padded_rows(g, self.K // 2, np.float32)
+        adjoint = p.weights[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).astype(np.float32)
+        expect = np.ascontiguousarray(
+            one_block_shifted_conv(grad_rows, adjoint, self.N, self.H, self.W)
+        )
+        gx, _, _ = conv2d_backward(x, p, g)
+        assert gx.flags.c_contiguous
+        np.testing.assert_array_equal(gx.view(np.uint32), expect.view(np.uint32))
+
+
 class TestLeakyRelu:
     def test_negative_halved(self):
         assert leaky_relu_forward(np.array([[[[-2.0]]]]), 0.5) == -1.0
@@ -264,12 +317,12 @@ class TestLeakyRelu:
     def test_backward_bitwise_equal_to_where_formula(self, alpha, x_dtype, g_dtype):
         """The slope lookup against np.where(x >= 0, 1, alpha) * grad_out,
         bit for bit and in the same result dtype, on signed zeros, NaN,
-        both infinities and random values."""
+        both infinities and random values, over three samples."""
         rng = np.random.default_rng(6)
         special = [0.0, -0.0, np.nan, np.inf, -np.inf]
         x = np.concatenate([rng.standard_normal(64) * 100, special]).astype(x_dtype)
         g = np.concatenate([special, rng.standard_normal(64) * 100]).astype(g_dtype)
-        x, g = x.reshape(1, 1, 1, -1), g.reshape(1, 1, 1, -1)
+        x, g = x.reshape(3, 1, 1, -1), g.reshape(3, 1, 1, -1)
         with np.errstate(invalid="ignore"):  # 0 * inf
             expect = g * np.where(x >= 0, x.dtype.type(1.0), x.dtype.type(alpha))
             out = leaky_relu_backward(x, alpha, g)
@@ -367,6 +420,39 @@ class TestBatchNormBackward:
         assert rel_err(gx, finite_diff_grad(lambda a: float(np.vdot(forward(a, gamma, beta)[0], r)), x.copy())) < 1e-5
         assert rel_err(gg, finite_diff_grad(lambda a: float(np.vdot(forward(x, a, beta)[0], r)), gamma.copy())) < 1e-5
         assert rel_err(gb, finite_diff_grad(lambda a: float(np.vdot(forward(x, gamma, a)[0], r)), beta.copy())) < 1e-5
+
+    @pytest.mark.parametrize(
+        "x_dtype,g_dtype",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+    )
+    def test_bitwise_equal_to_expression(self, x_dtype, g_dtype):
+        """The in-place backward against the plain expression it replaces,
+        bit for bit and in the same dtypes; grad_out is left as it was."""
+
+        def expression(cache, grad_out):
+            x_hat, inv_std, gamma, count = cache
+            grad_beta = grad_out.sum(axis=(0, 2, 3))
+            grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
+            g = grad_out * gamma[None, :, None, None]
+            sum_g = g.sum(axis=(0, 2, 3))
+            sum_gx = (g * x_hat).sum(axis=(0, 2, 3))
+            grad_x = (inv_std[None, :, None, None] / count) * (
+                count * g - sum_g[None, :, None, None] - x_hat * sum_gx[None, :, None, None]
+            )
+            return grad_x, grad_gamma, grad_beta
+
+        rng = np.random.default_rng(14)
+        x = (rng.standard_normal((4, 3, 6, 5)) * 30 + 7).astype(x_dtype)
+        bn = make_bn(3, x_dtype)
+        bn.gamma[:] = rng.uniform(0.5, 1.5, 3)
+        _, cache = batchnorm_forward(x, bn, TRAIN)
+        g = rng.standard_normal(x.shape).astype(g_dtype)
+        g_before = g.copy()
+        for out, expect in zip(batchnorm_backward(cache, g), expression(cache, g)):
+            assert out.dtype == expect.dtype
+            bits = np.uint32 if out.dtype == np.float32 else np.uint64
+            np.testing.assert_array_equal(out.view(bits), expect.view(bits))
+        np.testing.assert_array_equal(g, g_before)
 
     def test_infer_cache_rejected(self):
         with pytest.raises(ValueError, match="TRAIN"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,41 @@ class TestTrainCache:
         )
         assert sum(held.values()) <= bound
         assert len(caches) == len(layers)
+
+
+class TestBackwardMemory:
+    def test_peak_above_entry_in_activation_sizes(self):
+        # One network_backward of a 2 x 4 net, 32 filters, batch 4 at 48^2,
+        # measured with tracemalloc (numpy reports its buffers to it), so the
+        # count repeats exactly.  Let A be one activation and P one padded
+        # to the conv's (H+4, W+4) grid.  Backward frees each tensor at its
+        # last use, so its high-water is a middle conv's adjoint pass: the
+        # incoming gradient and the conv input (2A), the padded gradient
+        # rows, the adjoint's output grid and its tap-product buffer (at
+        # most 3P).  On top come every gradient returned, three
+        # weight-sized tap arrays of the conv in flight, and a quarter of an
+        # activation for small objects.  A backward that kept its input
+        # rows through the adjoint, or the pre-activation across the conv,
+        # holds one more P or A and exceeds this.
+        cfg = NetworkConfig(stages=2, layers_per_stage=4, filters=32)
+        n, h, w, f, k = 4, 48, 48, cfg.filters, cfg.kernel
+        params = build_network(cfg, np.random.default_rng(30))
+        rng = np.random.default_rng(31)
+        z = (rng.standard_normal((n, 1, h, w)) * 40).astype(np.float32)
+        grad_v = rng.standard_normal(z.shape).astype(np.float32)
+        _, caches = network_forward(z, params, cfg, mode=TRAIN)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            grads = network_backward(caches, grad_v, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        a = n * f * h * w * 4
+        padded = n * f * (h + k - 1) * (w + k - 1) * 4
+        weights = f * f * k * k * 4
+        bound = 2 * a + 3 * padded + 3 * weights + sum(g.nbytes for g in grads.values()) + a // 4
+        assert peak <= bound, f"peak {peak / a:.2f} activations, bound {bound / a:.2f}"
 
 
 class TestDenoise:

@@ -136,8 +136,8 @@ class TestTrainLoop:
         ds = toy_dataset(n_images=10)
         train_idx, eval_idx = holdout_split(ds, 0.1, seed=0)
         assert len(train_idx) + len(eval_idx) == len(ds)
-        train_sources = {ds.provenance[i].source for i in train_idx}
-        eval_sources = {ds.provenance[i].source for i in eval_idx}
+        train_sources = {ds.ref(i).source for i in train_idx}
+        eval_sources = {ds.ref(i).source for i in eval_idx}
         assert not (train_sources & eval_sources)
 
     def test_zero_lr_equivalent_via_tiny_lr_loss_constant(self):
@@ -467,7 +467,7 @@ class TestTrainGuards:
         ds = toy_dataset(n_images=6, seed=11)
         cfg = TrainConfig(batch_size=4, epochs=1, seed=13, checkpoint_dir=str(tmp_path))
         _, held = holdout_split(ds, cfg.holdout_fraction, cfg.seed)
-        source = ds.provenance[int(held[0])].source
+        source = ds.ref(held[0]).source
         ds.corpus[source][1][3, 5] = np.nan
         log_path = tmp_path / "training_log.csv"
         with pytest.raises(NonFiniteLossError, match="held-out patch"):
