@@ -27,6 +27,7 @@ from .image_io import write_image
 from .phase import random_phase_spec, spec_to_dict
 from .seeding import derive_rng
 from .speckle import (
+    PhaseField,
     SimulationParams,
     add_awgn,
     normalize_to_range,
@@ -40,10 +41,24 @@ NS_CORPUS = 2
 NS_AWGN = 5
 
 
+def pair_buffers(cfg: SimulateConfig) -> tuple[np.ndarray, ...]:
+    """The five float64 images one pair is rendered in: the clean and noisy
+    results, each its own array, then the phase grid, the fringe cosine and
+    a scratch image, as one block.  The layout was chosen by the peak RSS
+    and set-up time it gives the benchmark's workloads."""
+    shape = (cfg.height, cfg.width)
+    return (np.empty(shape), np.empty(shape), *np.empty((3, *shape)))
+
+
 def generate_pair(
-    cfg: SimulateConfig, master_seed: int, image_id: int
+    cfg: SimulateConfig, master_seed: int, image_id: int, buffers=None
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """One clean/noisy pair plus its provenance record.
+
+    The pair is rendered in ``buffers`` (from ``pair_buffers``), and the
+    images returned are their first two, which the next call given the same
+    buffers overwrites.  Without buffers a fresh set is made, so the
+    returned images own their memory.
 
     Draw order within the per-image stream: phase spec, object-beam
     intensity, noise expectation, then the pixel-level noise fields.
@@ -61,9 +76,12 @@ def generate_pair(
         phi_r=cfg.phi_r,
         index_origin=cfg.index_origin,
     )
-    field = phase_field(params, spec)  # one grid and one fringe cosine for both renderers
-    clean = normalize_to_range(render_clean(params, field))
-    noisy = normalize_to_range(render_noisy(params, field, rng))
+    clean, noisy, dphi, fringe_cos, scratch = pair_buffers(cfg) if buffers is None else buffers
+    # One grid and one fringe cosine for both renderers.  The noisy image is
+    # rendered first, so that the clean image's array can hold its amplitude.
+    field = phase_field(params, spec, PhaseField(dphi, fringe_cos), spare=scratch)
+    normalize_to_range(render_noisy(params, field, rng, noisy, (scratch, clean)), out=noisy)
+    normalize_to_range(render_clean(params, field, clean), out=clean)
     record = {
         "id": image_id,
         "a0c_sq": a0c_sq,
@@ -77,9 +95,10 @@ def generate_pair(
 def generate_corpus(cfg: SimulateConfig, master_seed: int, out_dir) -> dict:
     """Write the corpus tree and return its manifest.
 
-    Each pair is written as soon as it is made, so memory does not grow with
-    ``cfg.count``.  The appended AWGN copy of the k-th selected id (counting
-    up from id 0) gets id ``count + k``; its record follows the base records.
+    Every pair is rendered in one set of buffers and written as soon as it
+    is made, so memory does not grow with ``cfg.count``.  The appended AWGN
+    copy of the k-th selected id (counting up from id 0) gets id
+    ``count + k``; its record follows the base records.
     """
     out = Path(out_dir)
     (out / "clean").mkdir(parents=True, exist_ok=True)
@@ -87,8 +106,9 @@ def generate_corpus(cfg: SimulateConfig, master_seed: int, out_dir) -> dict:
     chooser = derive_rng(master_seed, NS_CORPUS, 0)
     selected = set(chooser.permutation(cfg.count)[: cfg.awgn_count].tolist())
     records, appended = [], []
+    buffers = pair_buffers(cfg)
     for image_id in range(cfg.count):
-        clean, noisy, record = generate_pair(cfg, master_seed, image_id)
+        clean, noisy, record = generate_pair(cfg, master_seed, image_id, buffers)
         if image_id in selected:
             # Own derived stream per id: the substitution stays a pure
             # function of (seed, id) like everything else about the pair.

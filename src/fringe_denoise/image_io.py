@@ -90,16 +90,16 @@ def decode_pgm(buf: bytes) -> np.ndarray:
     )
 
 
-def encode_fpd1(img: np.ndarray) -> bytes:
-    img = np.asarray(img)
+def _fpd1_header(img: np.ndarray) -> bytes:
     if img.ndim != 2:
         raise ImageFormatError(f"float image must be 2-D, got shape {img.shape}")
     h, w = img.shape
-    return (
-        FPD1_MAGIC
-        + struct.pack("<II", w, h)
-        + np.ascontiguousarray(img, dtype="<f4").tobytes()
-    )
+    return FPD1_MAGIC + struct.pack("<II", w, h)
+
+
+def encode_fpd1(img: np.ndarray) -> bytes:
+    img = np.asarray(img)
+    return _fpd1_header(img) + np.ascontiguousarray(img, dtype="<f4").tobytes()
 
 
 def decode_fpd1(buf: bytes) -> np.ndarray:
@@ -151,4 +151,10 @@ def write_image(img: np.ndarray, path) -> None:
         stored = np.asarray(img, dtype=np.float64 if path.suffix == ".pgm" else "<f4")
     if not np.isfinite(stored).all():
         raise ImageFormatError(f"{path}: refusing to write an image with non-finite pixels")
-    path.write_bytes(encode_pgm(stored) if path.suffix == ".pgm" else encode_fpd1(stored))
+    if path.suffix == ".pgm":
+        path.write_bytes(encode_pgm(stored))
+        return
+    header = _fpd1_header(stored)
+    with open(path, "wb") as f:  # the payload goes out from the array's own buffer
+        f.write(header)
+        f.write(np.ascontiguousarray(stored))

@@ -5,6 +5,10 @@ polynomials, products of the two, and constants.  Coordinates follow image
 convention: ``i`` runs along columns (horizontal), ``j`` along rows, both
 starting at the configured origin (1 by default).  Denominators may be
 ``inf`` to make a term constant along one axis.
+
+Each term is called as ``term(i, j, out=None, spare=None)`` and writes its
+value into ``out`` (allocated when not given); a ``Product`` evaluates its
+Gaussian factor into ``spare``.
 """
 
 from __future__ import annotations
@@ -37,11 +41,15 @@ class Gaussian2D:
         _require_positive_denom(self.denom_i, "denom_i")
         _require_positive_denom(self.denom_j, "denom_j")
 
-    def __call__(self, i, j):
-        return self.amplitude * np.exp(
-            -np.square(i - self.center_i) / self.denom_i
-            - np.square(j - self.center_j) / self.denom_j
+    def __call__(self, i, j, out=None, spare=None):
+        out = _term_array(i, j, out)
+        np.subtract(
+            -np.square(i - self.center_i) / self.denom_i,
+            np.square(j - self.center_j) / self.denom_j,
+            out=out,
         )
+        np.exp(out, out=out)
+        return np.multiply(self.amplitude, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -57,9 +65,11 @@ class Poly2:
         _require_positive_denom(self.denom_i, "denom_i")
         _require_positive_denom(self.denom_j, "denom_j")
 
-    def __call__(self, i, j):
-        return self.scale_i * np.square(i - self.center_i) / self.denom_i + (
-            self.scale_j * np.square(j - self.center_j) / self.denom_j
+    def __call__(self, i, j, out=None, spare=None):
+        return np.add(
+            self.scale_i * np.square(i - self.center_i) / self.denom_i,
+            self.scale_j * np.square(j - self.center_j) / self.denom_j,
+            out=_term_array(i, j, out),
         )
 
 
@@ -68,19 +78,27 @@ class Product:
     poly: Poly2
     gauss: Gaussian2D
 
-    def __call__(self, i, j):
-        return self.poly(i, j) * self.gauss(i, j)
+    def __call__(self, i, j, out=None, spare=None):
+        out = self.poly(i, j, out)
+        return np.multiply(out, self.gauss(i, j, spare), out=out)
 
 
 @dataclass(frozen=True)
 class Constant:
     value: float
 
-    def __call__(self, i, j):
-        return self.value * np.ones_like(np.asarray(i, dtype=np.float64))
+    def __call__(self, i, j, out=None, spare=None):
+        out = _term_array(i, j, out)
+        out.fill(self.value)
+        return out
 
 
 Term = Gaussian2D | Poly2 | Product | Constant
+
+
+def _term_array(i, j, out):
+    """``out``, or a new float64 array of the shape (i, j) broadcast to."""
+    return np.empty(np.broadcast_shapes(np.shape(i), np.shape(j))) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -94,22 +112,33 @@ class PhaseSpec:
             raise PhaseSpecError("phase spec needs at least one term")
 
 
-def eval_phase(spec: PhaseSpec, i, j):
-    """Sum of coefficient-weighted terms at (i, j); accepts arrays."""
+def eval_phase(spec: PhaseSpec, i, j, out=None, scratch=(None, None)):
+    """Sum of coefficient-weighted terms at (i, j); accepts arrays.
+
+    The sum accumulates in ``out`` and each term's value passes through
+    ``scratch[0]``; a ``Product`` term also needs ``scratch[1]`` for its
+    Gaussian factor.  Any of these not given is allocated.
+    """
     i = np.asarray(i, dtype=np.float64)
     j = np.asarray(j, dtype=np.float64)
-    total = np.zeros(np.broadcast(i, j).shape, dtype=np.float64)
+    total = _term_array(i, j, out)
+    total.fill(0.0)
+    value = _term_array(i, j, scratch[0])
     for coeff, term in spec.terms:
-        total += coeff * term(i, j)
+        term(i, j, value, scratch[1])
+        total += np.multiply(coeff, value, out=value)
     return total if total.shape else float(total)
 
 
-def phase_grid(spec: PhaseSpec, height: int, width: int, origin: int = 1) -> np.ndarray:
+def phase_grid(
+    spec: PhaseSpec, height: int, width: int, origin: int = 1, out=None, scratch=(None, None)
+) -> np.ndarray:
     """Evaluate over a full image; row r, column c maps to (i, j) =
-    (c + origin, r + origin)."""
+    (c + origin, r + origin).  ``out`` and ``scratch`` are as for
+    ``eval_phase``, of shape (height, width)."""
     jj = np.arange(origin, height + origin, dtype=np.float64)[:, None]
     ii = np.arange(origin, width + origin, dtype=np.float64)[None, :]
-    return eval_phase(spec, ii, jj)
+    return eval_phase(spec, ii, jj, out, scratch)
 
 
 def fig3_phase_spec() -> PhaseSpec:

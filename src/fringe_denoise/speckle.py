@@ -40,18 +40,23 @@ class SimulationParams:
             raise ValueError(f"image dims must be positive, got {self.width}x{self.height}")
 
 
-def sample_ned(lam: float, rng, size=None):
-    """Negative-exponential draw(s) with expectation ``lam``.
+def sample_ned(lam: float, rng, size=None, out=None):
+    """Negative-exponential draw(s) with expectation ``lam``, made into
+    ``out`` when it is given.
 
     Inverse-CDF sampling: x = -lam * ln(1 - u) with u uniform on [0, 1).
-    ``lam = 0`` is the degenerate distribution at exactly 0.
+    ``lam = 0`` is the degenerate distribution at exactly 0 and draws
+    nothing.
     """
     if lam < 0:
         raise ValueError(f"NED expectation must be >= 0, got {lam}")
     if lam == 0:
-        return 0.0 if size is None else np.zeros(size, dtype=np.float64)
-    u = rng.random(size)
-    return -lam * np.log1p(-u)
+        if out is None:
+            return 0.0 if size is None else np.zeros(size, dtype=np.float64)
+        out.fill(0.0)
+        return out
+    u = rng.random(size, out=out)
+    return np.multiply(-lam, np.log1p(np.negative(u, out=out), out=out), out=out)
 
 
 class PhaseField(NamedTuple):
@@ -61,48 +66,71 @@ class PhaseField(NamedTuple):
     fringe_cos: np.ndarray
 
 
-def phase_field(params: SimulationParams, phase: PhaseSpec | PhaseField) -> PhaseField:
+def phase_field(
+    params: SimulationParams, phase: PhaseSpec | PhaseField, out=None, spare=None
+) -> PhaseField:
     """``phase`` evaluated on the image grid of ``params``.
 
-    A spec is evaluated here; an already evaluated field passes through, so
-    one pair's two renderers can share a single grid and cosine.
+    A spec is evaluated here, into the arrays of the ``PhaseField`` ``out``
+    when given (``spare`` is the scratch a ``Product`` term needs); an
+    already evaluated field passes through, so one pair's two renderers can
+    share a single grid and cosine.
     """
     if isinstance(phase, PhaseField):
         return phase
-    dphi = phase_grid(phase, params.height, params.width, params.index_origin)
-    return PhaseField(dphi, np.cos(dphi + np.pi))
+    shape = (params.height, params.width)
+    dphi, fringe_cos = (np.empty(shape), np.empty(shape)) if out is None else out
+    # The fringe cosine's array holds each term's value until the grid is done.
+    phase_grid(phase, *shape, params.index_origin, dphi, (fringe_cos, spare))
+    np.add(dphi, np.pi, out=fringe_cos)
+    return PhaseField(dphi, np.cos(fringe_cos, out=fringe_cos))
 
 
-def fringe(amp, field: PhaseField) -> np.ndarray:
-    """The interference term ``amp * (1 + cos(dphi + pi))``."""
-    return amp + amp * field.fringe_cos
+def fringe(amp, field: PhaseField, out=None) -> np.ndarray:
+    """The interference term ``amp * (1 + cos(dphi + pi))``, computed as
+    ``amp + amp * cos(dphi + pi)``."""
+    out = np.multiply(amp, field.fringe_cos, out=out)
+    return np.add(amp, out, out=out)
 
 
-def render_clean(params: SimulationParams, phase: PhaseSpec | PhaseField) -> np.ndarray:
+def render_clean(params: SimulationParams, phase: PhaseSpec | PhaseField, out=None) -> np.ndarray:
     """Noise-free pattern; values lie in [0, 8*a0c_sq*ar_sq], unnormalized."""
-    return fringe(4.0 * params.a0c_sq * params.ar_sq, phase_field(params, phase))
+    return fringe(4.0 * params.a0c_sq * params.ar_sq, phase_field(params, phase), out)
 
 
 def render_noisy(
-    params: SimulationParams, phase: PhaseSpec | PhaseField, rng: np.random.Generator
+    params: SimulationParams,
+    phase: PhaseSpec | PhaseField,
+    rng: np.random.Generator,
+    out=None,
+    scratch=(None, None),
 ) -> np.ndarray:
-    """Speckle-corrupted pattern.
+    """Speckle-corrupted pattern, rendered into ``out`` with the two
+    ``scratch`` images (each allocated when not given).
 
     Draw order per image is fixed (speckle phases first, then intensity
     fluctuations), so results are reproducible for a given generator state.
     """
     field = phase_field(params, phase)
-    dphi = field.dphi
     shape = (params.height, params.width)
-    phi0 = np.pi - 2.0 * np.pi * rng.random(shape)  # uniform on (-pi, pi]
-    a0_sq = params.a0c_sq + sample_ned(params.ned_lambda, rng, shape)
-    amp = 4.0 * a0_sq * params.ar_sq
-    noise = -amp * (1.0 - np.cos(dphi)) * np.cos(2.0 * phi0 + dphi - 2.0 * params.phi_r)
-    return fringe(amp, field) + noise
+    out, phi0, amp = (np.empty(shape) if a is None else a for a in (out, *scratch))
+    rng.random(out=phi0)
+    np.subtract(np.pi, np.multiply(2.0 * np.pi, phi0, out=phi0), out=phi0)  # uniform on (-pi, pi]
+    np.add(params.a0c_sq, sample_ned(params.ned_lambda, rng, out=amp), out=amp)  # a0^2
+    np.multiply(np.multiply(4.0, amp, out=amp), params.ar_sq, out=amp)  # 4 * a0^2 * ar^2
+    # noise = -amp * (1 - cos(dphi)) * cos(2*phi0 + dphi - 2*phi_r); the
+    # product is negated after it is rounded, which gives the same bits.
+    noise = np.subtract(1.0, np.cos(field.dphi, out=out), out=out)
+    np.negative(np.multiply(amp, noise, out=noise), out=noise)
+    np.add(np.multiply(2.0, phi0, out=phi0), field.dphi, out=phi0)
+    np.subtract(phi0, 2.0 * params.phi_r, out=phi0)
+    np.multiply(noise, np.cos(phi0, out=phi0), out=noise)
+    return np.add(fringe(amp, field, out=phi0), noise, out=noise)
 
 
-def normalize_to_range(img: np.ndarray, peak: float = 255.0) -> np.ndarray:
-    """Affine map of the intensity range onto [0, peak].
+def normalize_to_range(img: np.ndarray, peak: float = 255.0, out=None) -> np.ndarray:
+    """Affine map of the intensity range onto [0, peak], written into
+    ``out`` when given (which may be ``img`` itself).
 
     A constant image carries no structure and maps to all zeros.  The
     extremes land on 0 and ``peak`` exactly, and re-normalizing an already
@@ -113,10 +141,14 @@ def normalize_to_range(img: np.ndarray, peak: float = 255.0) -> np.ndarray:
     lo = img.min()
     hi = img.max()
     if hi == lo:
-        return np.zeros_like(img)
-    out = (img - lo) * (peak / (hi - lo))
+        out = np.empty_like(img) if out is None else out
+        out.fill(0.0)
+        return out
+    top = img == hi  # taken before ``out``, which may be ``img``, is written
+    out = np.subtract(img, lo, out=out)
+    np.multiply(out, peak / (hi - lo), out=out)
     np.clip(out, 0.0, peak, out=out)
-    out[img == hi] = peak
+    out[top] = peak
     return out
 
 

@@ -153,8 +153,9 @@ def holdout_split(dataset, fraction: float, seed: int) -> tuple[np.ndarray, np.n
     n = len(dataset)
     sources = np.arange(n) // (n // dataset.grid["sources"]) if n else np.arange(0)
     # np.unique, not the grid's count: its first call imports numpy.ma, and
-    # without that import later corpus simulations in the same process were
-    # measured to fault in ~14x more pages (ROADMAP, direction 2).
+    # where that import lands in the heap moves later page faults and peak
+    # RSS; dropping it raised train-desk set-up time and peak RSS in bench
+    # pairs (ROADMAP, direction 5).
     unique = np.unique(sources)
     if fraction <= 0 or n < 2:
         return np.arange(n), np.array([], dtype=np.int64)

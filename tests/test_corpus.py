@@ -1,13 +1,21 @@
 """The corpus writer: what ``generate_corpus`` writes, and when it writes it."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fringe_denoise import corpus
 from fringe_denoise.config import SimulateConfig
-from fringe_denoise.corpus import NS_AWGN, NS_CORPUS, NS_IMAGE, generate_corpus, generate_pair
+from fringe_denoise.corpus import (
+    NS_AWGN,
+    NS_CORPUS,
+    NS_IMAGE,
+    generate_corpus,
+    generate_pair,
+    pair_buffers,
+)
 from fringe_denoise.image_io import encode_fpd1, write_image
 from fringe_denoise.phase import phase_grid, random_phase_spec
 from fringe_denoise.seeding import derive_rng
@@ -75,9 +83,9 @@ def test_each_pair_is_written_before_the_next_is_made(tmp_path, monkeypatch, mod
     cfg = small_config(mode)
     events = []
 
-    def recording_pair(cfg, master_seed, image_id):
+    def recording_pair(cfg, master_seed, image_id, buffers=None):
         events.append(("make", image_id))
-        return generate_pair(cfg, master_seed, image_id)
+        return generate_pair(cfg, master_seed, image_id, buffers)
 
     def recording_write(img, path):
         events.append(("write", int(path.stem)))
@@ -133,3 +141,66 @@ def test_pairs_equal_the_two_grid_recipe_bit_for_bit(tmp_path, mode):
         for sub, img in (("clean", clean), ("noisy", noisy)):
             path = tmp_path / sub / f"{image_id:04d}.fpd1"
             assert path.read_bytes() == encode_fpd1(np.asarray(img, "<f4")), path
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        small_config("in_place"),
+        small_config("append"),
+        SimulateConfig(count=5, width=19, height=41, ned_lambda_range=(0.0, 0.0)),
+        SimulateConfig(count=5, width=48, height=48, min_terms=5, max_terms=5, phi_r=0.4),
+    ],
+    ids=["in_place", "append", "ned-zero-tall", "five-terms"],
+)
+@pytest.mark.parametrize("seed", [1, 7, 7919])
+def test_reused_buffers_give_the_bytes_of_fresh_ones(tmp_path, cfg, seed):
+    """One set of buffers reused across pairs, in any order and starting
+    dirty, renders what fresh buffers and the two-grid recipe render, and
+    the corpus written through it holds those bytes."""
+    manifest = generate_corpus(cfg, seed, tmp_path)
+    files, records = expected_corpus(cfg, seed)
+    assert manifest["images"] == records
+    buffers = pair_buffers(cfg)
+    for buf in buffers:
+        buf.fill(np.nan)
+    for image_id in reversed(range(cfg.count)):
+        clean, noisy, record = generate_pair(cfg, seed, image_id, buffers)
+        fresh = generate_pair(cfg, seed, image_id)
+        recipe = two_grid_pair(cfg, seed, image_id)
+        for got, want, by_recipe in zip((clean, noisy), fresh[:2], recipe):
+            assert got.tobytes() == want.tobytes() == by_recipe.tobytes(), image_id
+        assert record == fresh[2]
+        path = tmp_path / "clean" / f"{image_id:04d}.fpd1"
+        assert path.read_bytes() == encode_fpd1(np.asarray(clean, "<f4"))
+        if not records[image_id]["awgn"]:
+            path = tmp_path / "noisy" / f"{image_id:04d}.fpd1"
+            assert path.read_bytes() == encode_fpd1(np.asarray(noisy, "<f4"))
+
+
+def test_returned_images_do_not_alias_the_scratch():
+    cfg = small_config("no-awgn")
+    buffers = pair_buffers(cfg)
+    clean, noisy, _ = generate_pair(cfg, SEED, 0, buffers)
+    assert clean is buffers[0] and noisy is buffers[1]
+    for scratch in buffers[2:]:
+        assert not np.shares_memory(clean, scratch) and not np.shares_memory(noisy, scratch)
+    clean, noisy, _ = generate_pair(cfg, SEED, 0)
+    assert clean.flags.owndata and noisy.flags.owndata
+    assert not np.shares_memory(clean, noisy)
+
+
+def test_corpus_peak_memory_is_one_pair_of_buffers(tmp_path):
+    """At 256^2, ``generate_corpus`` holds the pair's five float64 buffers,
+    the float32 image being written, and small objects (half an image at
+    most), under tracemalloc (numpy reports its buffers to it)."""
+    cfg = SimulateConfig(count=4)
+    image = cfg.height * cfg.width * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        generate_corpus(cfg, SEED, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 5 * image + image // 2 + image // 2
+    assert peak <= bound, f"peak {peak / image:.2f} images, bound {bound / image:.2f}"

@@ -70,7 +70,7 @@ class TestGrid:
         corpus = make_corpus(2, 96, seed=3)
         ds = build_dataset(corpus, patch_size=80, stride=16)
         for idx in range(len(ds)):
-            ref = ds.provenance[idx]
+            ref = ds.ref(idx)
             clean, noisy = ds[idx]
             src_clean, src_noisy = corpus[ref.source]
             window = (slice(ref.row, ref.row + 80), slice(ref.col, ref.col + 80))
@@ -248,7 +248,7 @@ class TestPerSourceBlocks:
         packed = PackedDataset(tmp_path / "blocks.bin")
         assert packed.provenance == ds.provenance
         for i in shuffled(len(ds)):
-            ref = ds.provenance[i]
+            ref = ds.ref(i)
             window = (slice(ref.row, ref.row + 9), slice(ref.col, ref.col + 9))
             for got, want, source in zip(packed[i], ds[i], corpus[ref.source]):
                 assert got.dtype == np.float32 and want.dtype == dtype

@@ -53,6 +53,25 @@ class TestEvalPhase:
         prod = Product(poly=poly, gauss=gauss)
         assert prod(3.0, 4.0) == pytest.approx(poly(3.0, 4.0) * gauss(3.0, 4.0))
 
+    def test_grid_in_given_arrays_equals_the_written_out_sum(self):
+        gauss = Gaussian2D(amplitude=2.0, center_i=3.0, center_j=9.0, denom_i=40.0, denom_j=70.0)
+        poly = Poly2(scale_i=1.5, center_i=4.0, denom_i=30.0, scale_j=0.5, center_j=2.0, denom_j=10.0)
+        spec = PhaseSpec(
+            terms=((0.7, gauss), (1.3, poly), (0.9, Product(poly, gauss)), (1.0, Constant(-2.5)))
+        )
+        h, w = 13, 21
+        j = np.arange(1, h + 1, dtype=np.float64)[:, None]
+        i = np.arange(1, w + 1, dtype=np.float64)[None, :]
+        g = 2.0 * np.exp(-np.square(i - 3.0) / 40.0 - np.square(j - 9.0) / 70.0)
+        p = 1.5 * np.square(i - 4.0) / 30.0 + (0.5 * np.square(j - 2.0) / 10.0)
+        want = np.zeros((h, w))
+        for term in (0.7 * g, 1.3 * p, 0.9 * (p * g), 1.0 * (-2.5 * np.ones_like(i))):
+            want += term
+        out, value, spare = (np.full((h, w), np.nan) for _ in range(3))
+        got = phase_grid(spec, h, w, out=out, scratch=(value, spare))
+        assert got is out
+        assert got.tobytes() == want.tobytes() == phase_grid(spec, h, w).tobytes()
+
     @given(st.integers(0, 500), st.integers(0, 500))
     def test_grid_matches_scalar_evaluation(self, i, j):
         spec = fig3_phase_spec()

@@ -35,7 +35,10 @@ class _ForcedUniform:
     def __init__(self, value: float):
         self.value = value
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            out.fill(self.value)
+            return out
         if size is None:
             return self.value
         return np.full(size, self.value)
@@ -164,6 +167,13 @@ class TestNormalize:
         out = normalize_to_range(img)
         assert out.min() == 0.0
         assert out.max() == 255.0
+
+    @pytest.mark.parametrize("img", [np.full((3, 5), 7.25), np.array([[2.0, 9.5, 9.5], [-4.0, 9.5, 1.0]])])
+    def test_in_place_equals_a_fresh_result(self, img):
+        want = normalize_to_range(img)
+        got = img.copy()
+        assert normalize_to_range(got, out=got) is got
+        assert got.tobytes() == want.tobytes()
 
     @given(st.integers(0, 10_000))
     def test_idempotent_on_normalized_images(self, seed):
