@@ -151,11 +151,7 @@ def _shifted_conv(
     return out.reshape(n, h + k - 1, w + k - 1, m)[:, :h, :w].transpose(0, 3, 1, 2)
 
 
-def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """Stride-1 convolution with zero same-padding.
-
-    out[b,m,y,x] = bias[m] + sum_{c,u,v} w[m,c,u,v] * x_padded[b,c,y+u,x+v]
-    """
+def _check_conv_input(x: np.ndarray, params: ConvParams) -> None:
     if x.ndim != 4:
         raise ShapeError(f"input must be 4-D (N,C,H,W), got {x.shape}")
     if x.shape[1] != params.in_channels:
@@ -163,6 +159,14 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
             f"input has {x.shape[1]} channels but filters expect "
             f"{params.in_channels} (input {x.shape}, weights {params.weights.shape})"
         )
+
+
+def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
+    """Stride-1 convolution with zero same-padding.
+
+    out[b,m,y,x] = bias[m] + sum_{c,u,v} w[m,c,u,v] * x_padded[b,c,y+u,x+v]
+    """
+    _check_conv_input(x, params)
     n, _, h, w = x.shape
     dtype = np.result_type(x, params.weights)
     taps = params.weights.transpose(2, 3, 1, 0).astype(dtype)
@@ -189,6 +193,7 @@ def conv2d_backward(
     freed once it is done; the gradient rows feed the adjoint and are freed
     before its output is copied out as the NCHW input gradient.
     """
+    _check_conv_input(x, params)
     n, c, h, w = x.shape
     m = params.out_channels
     k = params.kernel
@@ -237,11 +242,12 @@ def leaky_relu_backward(x: np.ndarray, alpha: float, grad_out: np.ndarray) -> np
         raise ShapeError(f"shape mismatch: input {x.shape} vs grad {grad_out.shape}")
     # A two-entry lookup on the sign mask builds the slope far faster than
     # np.where, and gives the same values.  np.take widens its index to
-    # intp, so it runs one sample at a time to bound that copy.
+    # intp, so a batch runs one sample at a time to bound that copy.
     table = np.array([alpha, 1.0], dtype=x.dtype)
     out = np.empty(x.shape, dtype=np.result_type(grad_out, x))
-    for b in range(x.shape[0]):
-        np.multiply(grad_out[b], np.take(table, (x[b] >= 0).view(np.uint8)), out=out[b])
+    samples = zip(x, grad_out, out) if x.ndim > 1 else [(x, grad_out, out)]
+    for xb, gb, ob in samples:
+        np.multiply(gb, np.take(table, (xb >= 0).view(np.uint8)), out=ob)
     return out
 
 

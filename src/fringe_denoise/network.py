@@ -143,12 +143,13 @@ def network_forward(
     """Run all stages on a single-channel batch; returns the noise estimate.
 
     In TRAIN mode each layer adds a ``(conv_in, bn_cache, act_in)`` entry
-    for ``network_backward``, holding one activation-sized tensor per layer
-    with an activation and ``None`` wherever backward can recompute instead:
+    for ``network_backward``, holding one activation-sized tensor per
+    batch-norm layer and ``None`` wherever backward can recompute instead:
     a batch-norm layer keeps only its batch-norm cache (with x_hat), a
-    stage's first layer keeps its pre-activation and the one-channel stage
-    input its conv read, and the reconstruction layer keeps nothing.  INFER
-    mode returns ``None`` caches.
+    stage's first layer only the one-channel stage input its conv read, and
+    the reconstruction layer nothing.  ``act_in`` is always ``None``; the
+    slot is kept only because the benchmark's train-cache hook unpacks
+    3-tuples.  INFER mode returns ``None`` caches.
     """
     if z.ndim != 4 or z.shape[1] != 1:
         raise ShapeError(f"network input must be (N,1,H,W), got {z.shape}")
@@ -162,19 +163,23 @@ def network_forward(
             if layer.bn is not None:
                 pre, bn_cache = batchnorm_forward(pre, layer.bn, mode)
             if caches is not None:
-                conv_in = None if x_is_activation else x
-                act_in = pre if layer.alpha is not None and bn_cache is None else None
-                caches.append((conv_in, bn_cache, act_in))
+                caches.append((None if x_is_activation else x, bn_cache, None))
             x_is_activation = layer.alpha is not None
             x = leaky_relu_forward(pre, layer.alpha) if x_is_activation else pre
     return x, caches
 
 
 def _pre_activation(cache: tuple, layer: LayerParams) -> np.ndarray:
-    """A layer's activation input, cached or rebuilt from its x_hat."""
-    _, bn_cache, act_in = cache
+    """A layer's activation input, rebuilt from its cache.
+
+    A batch-norm layer maps its x_hat through the affine map; a stage's
+    first layer runs its conv on the cached stage input again.  Both are
+    the forward pass's own calls on the same operands, so the result is
+    the forward pass's pre-activation bit for bit.
+    """
+    conv_in, bn_cache, _ = cache
     if bn_cache is None:
-        return act_in
+        return conv2d_forward(conv_in, layer.conv)
     x_hat, _, gamma, _ = bn_cache
     return batchnorm_affine(x_hat, gamma, layer.bn.beta.astype(x_hat.dtype))
 
@@ -187,19 +192,25 @@ def network_backward(
 ) -> dict[str, np.ndarray]:
     """Chain gradients of the noise estimate back through every stage.
 
-    A conv input that the forward pass did not cache is the layer before's
-    activation; it is recomputed here by the same functions the forward pass
-    ran, in the same order, so the gradients equal those of a cache of every
-    tensor bit for bit.  The batch-norm shift is read from ``params``, so
-    call this before the parameters are updated.  Returns a dict keyed like
-    ``iter_tensors(..., trainable_only=True)``.
+    A conv input or pre-activation that the forward pass did not cache is
+    recomputed here by the same functions the forward pass ran, in the same
+    order, so the gradients equal those of a cache of every tensor bit for
+    bit.  The batch-norm shift and the first layers' filters are read from
+    ``params``, so call this before the parameters are updated.  Returns a
+    dict keyed like ``iter_tensors(..., trainable_only=True)``.
 
-    Beyond the caches, a layer holds only the gradient flowing in and what
-    its next kernel reads.  A rebuilt pre-activation lives only for the call
-    that reads it: the conv input is made from it and it is dropped before
-    the conv, then rebuilt after the conv for the leaky-ReLU gradient.  The
-    conv input is dropped after its conv, each gradient when the next
-    replaces it.
+    ``caches`` is consumed: each layer pops its entry, and drops its
+    batch-norm cache right after the batch-norm gradient, so the list is
+    empty on return.  A list whose length does not match the network, such
+    as one already consumed, raises ``ValueError``.
+
+    Beyond the entries not yet popped, a layer holds only the gradient
+    flowing in and what its next kernel reads.  A rebuilt pre-activation
+    lives only for the call that reads it: the conv input is made from the
+    previous layer's, which is dropped before the conv and rebuilt when
+    that layer's entry is popped, for the leaky-ReLU gradient.  The conv
+    input is dropped after its conv, each gradient when the next replaces
+    it.
     """
     if caches is None:
         raise ValueError("network_backward requires caches from a TRAIN-mode forward")
@@ -209,19 +220,26 @@ def network_backward(
         for s, stage in enumerate(params.layers)
         for d, layer in enumerate(stage)
     ]
+    if len(caches) != len(flat_layers):
+        raise ValueError(
+            f"network_backward needs one cache entry per layer ({len(flat_layers)}), "
+            f"got {len(caches)}; pass the list of one TRAIN-mode forward, once"
+        )
     g = grad_v
     for i in reversed(range(len(flat_layers))):
         s, d, layer = flat_layers[i]
-        conv_in, bn_cache, _ = caches[i]
+        conv_in, bn_cache, _ = entry = caches.pop()
         if layer.alpha is not None:
-            g = leaky_relu_backward(_pre_activation(caches[i], layer), layer.alpha, g)
+            g = leaky_relu_backward(_pre_activation(entry, layer), layer.alpha, g)
+        del entry
         if layer.bn is not None:
             g, g_gamma, g_beta = batchnorm_backward(bn_cache, g)
+            bn_cache = None
             grads[f"s{s:02d}.l{d:02d}.bn.gamma"] = g_gamma
             grads[f"s{s:02d}.l{d:02d}.bn.beta"] = g_beta
         if conv_in is None:
             prev = flat_layers[i - 1][2]
-            conv_in = leaky_relu_forward(_pre_activation(caches[i - 1], prev), prev.alpha)
+            conv_in = leaky_relu_forward(_pre_activation(caches[-1], prev), prev.alpha)
         # The network input needs no gradient, so the very first conv
         # skips its adjoint convolution.
         first = s == 0 and d == 0

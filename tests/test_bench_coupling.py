@@ -6,6 +6,7 @@ refuse must fail here, in the fast suite, and not only in the slow
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,47 @@ def test_every_patch_point_resolves():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, f"tracer patch points that no longer resolve: {missing}"
+
+
+def test_train_hooks_see_the_cache_and_every_conv(monkeypatch):
+    """The hooks that run only under ``--trace 1``, on one TRAIN forward
+    through the installed patch points: ``train_cache_mb`` must unpack the
+    cache entries and count every distinct array in them, and
+    ``conv_shape`` must see each layer's conv with its input shape."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.syspath_prepend(str(Path(__file__).parent))  # for tests/oracles.py
+    cfg = importlib.import_module("workloads").SMOKE_NET
+    fd = bench_modules()
+    network, training = fd["network"], fd["training"]
+    params = network.build_network(cfg, np.random.default_rng(5))
+    z = np.random.default_rng(6).standard_normal((4, 1, 16, 12)).astype(np.float32)
+    tr = load_tracer()
+    tracer = tr.Tracer()
+    tracer.install(tr.patch_points(fd))
+    try:
+        _, caches = training.network_forward(z, params, cfg, mode="train")
+    finally:
+        tracer.uninstall()
+
+    arrays = {}
+
+    def collect(item):
+        if isinstance(item, np.ndarray):
+            arrays[id(item)] = item.nbytes
+        elif isinstance(item, (tuple, list)):
+            for part in item:
+                collect(part)
+
+    collect(caches)
+    assert arrays
+    assert tracer.peaks["network.network_forward.train"] == sum(arrays.values()) / 2**20
+    n, _, h, w = z.shape
+    convs = Counter(
+        ("forward", n, layer.conv.in_channels, h, w, layer.conv.out_channels, cfg.kernel, z.dtype.str)
+        for stage in params.layers
+        for layer in stage
+    )
+    assert tracer.conv_shapes == convs
 
 
 def test_every_workload_passes_its_checks_at_smoke_size(tmp_path, monkeypatch):

@@ -78,6 +78,20 @@ class TestConvBackward:
         gx, gw, gb = conv2d_backward(x, p, np.zeros((2, 3, 5, 5)))
         assert not gx.any() and not gw.any() and not gb.any()
 
+    def test_channel_mismatch_rejected(self):
+        # Weights (4, 3, 3, 3) against a 5-channel input: the grad_out shape
+        # check alone would pass.
+        rng = np.random.default_rng(4)
+        p = make_conv(rng, 4, 3, 3)
+        with pytest.raises(ShapeError, match="2, 5, 6, 6"):
+            conv2d_backward(np.zeros((2, 5, 6, 6)), p, np.zeros((2, 4, 6, 6)))
+
+    def test_non_4d_input_rejected(self):
+        rng = np.random.default_rng(4)
+        p = make_conv(rng, 4, 3, 3)
+        with pytest.raises(ShapeError, match="4-D"):
+            conv2d_backward(np.zeros((3, 6, 6)), p, np.zeros((1, 4, 6, 6)))
+
     def test_identity_kernel_adjoint_is_identity(self):
         x = np.zeros((1, 1, 5, 5))
         w = np.zeros((1, 1, 3, 3))
@@ -317,7 +331,8 @@ class TestLeakyRelu:
     def test_backward_bitwise_equal_to_where_formula(self, alpha, x_dtype, g_dtype):
         """The slope lookup against np.where(x >= 0, 1, alpha) * grad_out,
         bit for bit and in the same result dtype, on signed zeros, NaN,
-        both infinities and random values, over three samples."""
+        both infinities and random values, over three samples; then the
+        same values as 2-D, 1-D and 0-D inputs."""
         rng = np.random.default_rng(6)
         special = [0.0, -0.0, np.nan, np.inf, -np.inf]
         x = np.concatenate([rng.standard_normal(64) * 100, special]).astype(x_dtype)
@@ -329,6 +344,15 @@ class TestLeakyRelu:
         assert out.dtype == expect.dtype == np.result_type(x_dtype, g_dtype)
         bits = np.uint32 if out.dtype == np.float32 else np.uint64
         np.testing.assert_array_equal(out.view(bits), expect.view(bits))
+        flat_x, flat_g = x.ravel(), g.ravel()
+        cases = [(x.reshape(3, -1), g.reshape(3, -1)), (flat_x, flat_g)]
+        cases += [(flat_x[i, ...], flat_g[i, ...]) for i in range(flat_x.size)]  # 0-D
+        for xs, gs in cases:
+            with np.errstate(invalid="ignore"):
+                want = np.asarray(gs * np.where(xs >= 0, xs.dtype.type(1.0), xs.dtype.type(alpha)))
+                got = leaky_relu_backward(xs, alpha, gs)
+            assert got.shape == xs.shape and got.dtype == out.dtype
+            np.testing.assert_array_equal(got.view(bits), want.view(bits))
 
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ValueError):

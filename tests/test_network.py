@@ -182,6 +182,23 @@ class TestBackward:
         with pytest.raises(ValueError, match="TRAIN"):
             network_backward(caches, v, params, cfg)
 
+    def test_caches_consumed(self):
+        cfg = NetworkConfig(stages=2, layers_per_stage=3, filters=2, kernel=3)
+        params = build_f64(cfg, seed=12)
+        z = np.random.default_rng(13).standard_normal((2, 1, 8, 8))
+        v, caches = network_forward(z, params, cfg, mode=TRAIN)
+        network_backward(caches, np.ones_like(v), params, cfg)
+        assert caches == []
+
+    def test_consumed_caches_rejected(self):
+        cfg = NetworkConfig(stages=2, layers_per_stage=3, filters=2, kernel=3)
+        params = build_f64(cfg, seed=12)
+        z = np.random.default_rng(13).standard_normal((2, 1, 8, 8))
+        v, caches = network_forward(z, params, cfg, mode=TRAIN)
+        network_backward(caches, np.ones_like(v), params, cfg)
+        with pytest.raises(ValueError, match="one cache entry per layer"):
+            network_backward(caches, np.ones_like(v), params, cfg)
+
     def test_stage_one_receives_gradient(self):
         cfg = NetworkConfig(stages=2, layers_per_stage=3, filters=2, kernel=3)
         params = build_f64(cfg, seed=14)
@@ -318,6 +335,28 @@ class TestTrainCache:
         assert sum(held.values()) <= bound
         assert len(caches) == len(layers)
 
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["2x3-alpha0", "3x5"])
+    def test_one_activation_per_batchnorm_layer(self, cfg):
+        # Exactly x_hat, inv_std and gamma per batch-norm layer and the
+        # one-channel input of each stage: a stage's first layer rebuilds
+        # its pre-activation from that input instead of caching it.
+        n, h, w = 4, 9, 7
+        params = build_network(cfg, np.random.default_rng(24))
+        z = np.random.default_rng(25).standard_normal((n, 1, h, w)).astype(np.float32)
+        _, caches = network_forward(z, params, cfg, mode=TRAIN)
+        held = {}
+        for conv_in, bn_cache, act_in in caches:
+            assert act_in is None
+            for item in (conv_in, *(bn_cache or ())):
+                if isinstance(item, np.ndarray):
+                    held[id(item)] = item.nbytes
+        bn_layers = sum(layer.bn is not None for stage in params.layers for layer in stage)
+        activation = n * cfg.filters * h * w * 4
+        per_channel = 2 * cfg.filters * 4
+        stage_input = n * h * w * 4
+        expected = bn_layers * (activation + per_channel) + cfg.stages * stage_input
+        assert sum(held.values()) == expected
+
 
 class TestBackwardMemory:
     def test_peak_above_entry_in_activation_sizes(self):
@@ -351,6 +390,38 @@ class TestBackwardMemory:
         padded = n * f * (h + k - 1) * (w + k - 1) * 4
         weights = f * f * k * k * 4
         bound = 2 * a + 3 * padded + 3 * weights + sum(g.nbytes for g in grads.values()) + a // 4
+        assert peak <= bound, f"peak {peak / a:.2f} activations, bound {bound / a:.2f}"
+
+    def test_step_peak_in_activation_sizes(self):
+        # One TRAIN forward and its backward of the same 2 x 4 net, measured
+        # together.  The high-water of the step is a conv in flight beside
+        # the cache: at most the whole cache (one activation A per
+        # batch-norm layer, the stage inputs and per-channel vectors), the
+        # conv's input and its output or incoming gradient (2A), its padded
+        # rows, output grid and tap-product buffer (3P), plus the returned
+        # gradients and A/4 for small objects.  Backward pops each entry as
+        # it passes it, so its convs run beside a shrinking cache.  A
+        # backward that kept the whole cache to its end, or a cache that
+        # held the first layers' pre-activations, exceeds this.
+        cfg = NetworkConfig(stages=2, layers_per_stage=4, filters=32)
+        n, h, w, f, k = 4, 48, 48, cfg.filters, cfg.kernel
+        params = build_network(cfg, np.random.default_rng(30))
+        rng = np.random.default_rng(31)
+        z = (rng.standard_normal((n, 1, h, w)) * 40).astype(np.float32)
+        grad_v = rng.standard_normal(z.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            _, caches = network_forward(z, params, cfg, mode=TRAIN)
+            grads = network_backward(caches, grad_v, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        a = n * f * h * w * 4
+        padded = n * f * (h + k - 1) * (w + k - 1) * 4
+        bn_layers = cfg.stages * (cfg.layers_per_stage - 2)
+        cache = bn_layers * (a + 2 * f * 4) + cfg.stages * n * h * w * 4
+        bound = cache + 2 * a + 3 * padded + sum(g.nbytes for g in grads.values()) + a // 4
         assert peak <= bound, f"peak {peak / a:.2f} activations, bound {bound / a:.2f}"
 
 
