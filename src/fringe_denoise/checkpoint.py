@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import read_header, write_container
 from .errors import FringeDenoiseError, is_int
 from .network import NetworkConfig, NetworkParams, build_network, iter_tensors
 
@@ -97,14 +97,15 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     ``expect`` asserts the stored architecture; a mismatch is a hard error
     rather than a silently reshaped model.  The tensor directory must be
     exactly the one ``save_checkpoint`` writes for the stored architecture
-    (with Adam moments when ``adam_t`` is set).  A NaN or infinite stored
+    (with Adam moments when ``adam_t`` is set), and the payload exactly the
+    bytes that directory names, read in one call.  A NaN or infinite stored
     value, or a negative batch-norm running variance or Adam second moment,
     is a ``CheckpointError``, so no command computes with it.
     """
     from .training import LOG_FIELDS, AdamState
 
     required = ("network", "tensors", "epoch", "seed", "train_digest")
-    header, payload = read_container(path, MAGIC, VERSION, required, CheckpointError)
+    header, start, size = read_header(path, MAGIC, VERSION, required, CheckpointError)
     try:
         network = dict(header["network"])
         # Older headers name the stage wiring; the noise chain is the only one.
@@ -133,12 +134,15 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
     tensors = _stored_tensors(params, adam)
     if header["tensors"] != _directory(tensors):
         raise CheckpointError(f"{path}: tensor directory does not match network and adam_t")
-    if payload.size < sum(arr.size for _, arr in tensors):
-        raise CheckpointError(f"{path}: tensor payload is truncated")
-    start = 0
+    nbytes, found = 4 * sum(arr.size for _, arr in tensors), size - start
+    if found != nbytes:
+        what = "truncated" if found < nbytes else "longer than its directory"
+        raise CheckpointError(f"{path}: tensor payload is {what}: {found} bytes, not {nbytes}")
+    payload = np.fromfile(path, dtype="<f4", count=nbytes // 4, offset=start)
+    offset = 0
     for name, arr in tensors:
-        values = payload[start : start + arr.size]
-        start += arr.size
+        values = payload[offset : offset + arr.size]
+        offset += arr.size
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: tensor {name} has non-finite values")
         # Variances and Adam's second moments are means of squares; BatchNormParams'

@@ -5,7 +5,8 @@ little-endian), an ASCII JSON object header, then the payload: arrays as
 little-endian float32, back to back.  The magic, version, header keys and
 the payload's shapes belong to the calling format; this module owns the
 framing and the payload encoding, so every file in this layout is written
-and checked the same way.
+and its header checked the same way.  Each format's reader then requires
+the payload to be exactly the bytes its header names, and reads it itself.
 """
 
 from __future__ import annotations
@@ -79,14 +80,3 @@ def read_header(
             raise error(f"{path}: header has no {key!r} entry")
     return header, start, size
 
-
-def read_container(
-    path, magic: bytes, version: int, required: tuple[str, ...], error: type[Exception]
-) -> tuple[dict, np.ndarray]:
-    """Returns (header, payload) with the payload read as float32 in one call.
-
-    Fails as ``read_header`` does.
-    """
-    header, start, size = read_header(path, magic, version, required, error)
-    count = (size - start) // 4  # a partial trailing value is not part of the payload
-    return header, np.fromfile(path, dtype="<f4", count=count, offset=start)

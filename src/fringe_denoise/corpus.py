@@ -25,7 +25,7 @@ from . import image_io
 from .config import SimulateConfig
 from .image_io import write_image
 from .phase import random_phase_spec, spec_to_dict
-from .seeding import derive_rng
+from .seeding import NS_AWGN, NS_CORPUS, NS_IMAGE, derive_rng
 from .speckle import (
     PhaseField,
     SimulationParams,
@@ -35,10 +35,6 @@ from .speckle import (
     render_clean,
     render_noisy,
 )
-
-NS_IMAGE = 1
-NS_CORPUS = 2
-NS_AWGN = 5
 
 
 def pair_buffers(cfg: SimulateConfig) -> tuple[np.ndarray, ...]:

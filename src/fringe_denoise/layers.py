@@ -230,9 +230,10 @@ def leaky_relu_forward(x: np.ndarray, alpha: float) -> np.ndarray:
     """h = max(z, 0) + alpha * min(z, 0), elementwise."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    # max(x, alpha*x) equals the two-branch formula for alpha in [0, 1];
-    # fmax keeps x = +inf at alpha = 0, where alpha*x is NaN.
-    return np.fmax(x, x.dtype.type(alpha) * x)
+    # max(x, alpha*x), written into the alpha*x array, equals the two-branch
+    # formula for alpha in [0, 1]; fmax keeps x = +inf at alpha = 0 (alpha*x NaN).
+    scaled = np.multiply(x.dtype.type(alpha), x, out=np.empty_like(x))
+    return np.fmax(x, scaled, out=scaled)
 
 
 def leaky_relu_backward(x: np.ndarray, alpha: float, grad_out: np.ndarray) -> np.ndarray:
@@ -256,54 +257,53 @@ def batchnorm_forward(
 ) -> tuple[np.ndarray, tuple | None]:
     """Per-channel batch normalization over the (batch, H, W) axes.
 
-    TRAIN mode normalizes with the batch statistics (population variance),
-    updates the running statistics in-place (running variance stores the
-    unbiased estimate), and returns a cache for the backward pass.  INFER
-    mode normalizes with the running statistics and returns no cache.
+    Both modes run the same steps, x_hat = (x - mean) / sqrt(var + epsilon)
+    in the one array the subtraction allocates, then ``batchnorm_affine``;
+    they differ only in where (mean, var) come from.  TRAIN mode takes the
+    batch statistics (population variance), updates the running statistics
+    in-place (running variance stores the unbiased estimate), and returns a
+    cache for the backward pass.  INFER mode takes the running statistics
+    and returns no cache.
     """
     if x.ndim != 4 or x.shape[1] != params.channels:
         raise ShapeError(
             f"input {x.shape} does not match {params.channels} batchnorm channels"
         )
-    gamma = params.gamma.astype(x.dtype)
-    beta = params.beta.astype(x.dtype)
-    if mode == INFER:
-        inv = 1.0 / np.sqrt(params.running_var.astype(x.dtype) + x.dtype.type(params.epsilon))
-        out = (x - params.running_mean.astype(x.dtype)[None, :, None, None]) * (
-            gamma * inv
-        )[None, :, None, None] + beta[None, :, None, None]
-        return out, None
-    if mode != TRAIN:
-        raise ValueError(f"mode must be {TRAIN!r} or {INFER!r}, got {mode!r}")
     n, _, h, w = x.shape
     count = n * h * w
-    if count < 2:
-        raise ValueError(
-            f"TRAIN-mode batchnorm needs at least 2 values per channel, got {count}"
-        )
-    mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
+    if mode == TRAIN:
+        if count < 2:
+            raise ValueError(
+                f"TRAIN-mode batchnorm needs at least 2 values per channel, got {count}"
+            )
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        unbiased = var * (count / (count - 1))
+        m = params.momentum
+        for stat, batch in ((params.running_mean, mean), (params.running_var, unbiased)):
+            stat[:] = m * stat + (1.0 - m) * batch.astype(stat.dtype)
+    elif mode == INFER:
+        mean, var = params.running_mean.astype(x.dtype), params.running_var.astype(x.dtype)
+    else:
+        raise ValueError(f"mode must be {TRAIN!r} or {INFER!r}, got {mode!r}")
     inv_std = 1.0 / np.sqrt(var + x.dtype.type(params.epsilon))
-    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = batchnorm_affine(x_hat, gamma, beta)
-    unbiased = var * (count / (count - 1))
-    params.running_mean[:] = params.momentum * params.running_mean + (
-        1.0 - params.momentum
-    ) * mean.astype(params.running_mean.dtype)
-    params.running_var[:] = params.momentum * params.running_var + (
-        1.0 - params.momentum
-    ) * unbiased.astype(params.running_var.dtype)
-    cache = (x_hat, inv_std, gamma, count)
-    return out, cache
+    x_hat = np.subtract(x, mean[None, :, None, None])
+    x_hat *= inv_std[None, :, None, None]
+    gamma = params.gamma.astype(x.dtype)
+    out = batchnorm_affine(x_hat, gamma, params.beta.astype(x.dtype))
+    return out, (x_hat, inv_std, gamma, count) if mode == TRAIN else None
 
 
 def batchnorm_affine(x_hat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """TRAIN-mode batch-norm output gamma * x_hat + beta, per channel.
+    """The batch-norm output gamma * x_hat + beta, per channel, in a new array.
 
-    The network's backward pass recomputes the output from the cached x_hat
-    through this same function, so the two agree bit for bit.
+    Both forward modes end here, and the network's backward pass rebuilds
+    the TRAIN output from the cached x_hat through it too, so the two agree
+    bit for bit.
     """
-    return gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
+    out = gamma[None, :, None, None] * x_hat
+    out += beta[None, :, None, None]
+    return out
 
 
 def batchnorm_backward(

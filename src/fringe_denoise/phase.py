@@ -235,13 +235,17 @@ def spec_to_dict(spec: PhaseSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> PhaseSpec:
-    terms = []
-    for entry in data["terms"]:
-        body = dict(entry["term"])
-        kind = body.pop("kind")
-        if kind not in _KINDS:
-            raise PhaseSpecError(f"unknown term kind {kind!r}")
-        if kind == "product":
-            body = {"poly": Poly2(**body["poly"]), "gauss": Gaussian2D(**body["gauss"])}
-        terms.append((float(entry["coeff"]), _KINDS[kind](**body)))
-    return PhaseSpec(terms=tuple(terms))
+    """Inverse of ``spec_to_dict``; a malformed record raises ``PhaseSpecError``."""
+    try:
+        terms = []
+        for entry in data["terms"]:
+            body = dict(entry["term"])
+            kind = body.pop("kind")
+            if kind not in _KINDS:
+                raise PhaseSpecError(f"unknown term kind {kind!r}")
+            if kind == "product":
+                body = {"poly": Poly2(**body["poly"]), "gauss": Gaussian2D(**body["gauss"])}
+            terms.append((float(entry["coeff"]), _KINDS[kind](**body)))
+        return PhaseSpec(terms=tuple(terms))
+    except (KeyError, TypeError, ValueError) as exc:  # PhaseSpecError included
+        raise PhaseSpecError(f"malformed phase spec: {exc!r}") from exc

@@ -27,7 +27,7 @@ from .network import (
     network_forward,
 )
 from .quality import SSIM_WINDOW, mae, psnr, ssim_mean
-from .seeding import derive_rng
+from .seeding import NS_HOLDOUT, NS_NETWORK, NS_SHUFFLE, derive_rng
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,12 @@ class TrainConfig:
             )
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (self.eval_every >= 0 and self.eval_max_patches >= 0
+                and 0 <= self.holdout_fraction < 1):
+            raise ValueError(
+                f"eval needs every >= 0, max_patches >= 0 and holdout_fraction in [0, 1), "
+                f"got {self.eval_every}, {self.eval_max_patches} and {self.holdout_fraction}"
+            )
 
 
 @dataclass
@@ -138,7 +144,7 @@ def num_batches(n_samples: int, batch_size: int) -> int:
 
 def epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     """Shuffle order for one epoch, a pure function of (seed, epoch)."""
-    return derive_rng(seed, 3, epoch).permutation(n)
+    return derive_rng(seed, NS_SHUFFLE, epoch).permutation(n)
 
 
 def holdout_split(dataset, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +168,7 @@ def holdout_split(dataset, fraction: float, seed: int) -> tuple[np.ndarray, np.n
     if len(unique) < 2:  # one source: each patch is held out on its own
         sources = unique = np.arange(n)
     n_hold = max(1, int(round(fraction * len(unique))))
-    mask = np.isin(sources, derive_rng(seed, 4, 0).permutation(unique)[:n_hold])
+    mask = np.isin(sources, derive_rng(seed, NS_HOLDOUT, 0).permutation(unique)[:n_hold])
     return np.nonzero(~mask)[0], np.nonzero(mask)[0]
 
 
@@ -250,14 +256,14 @@ def train(
         start_epoch = meta["epoch"] + 1
         log = meta["log"]
     else:
-        params = build_network(net_config, derive_rng(train_config.seed, 0, 0))
+        params = build_network(net_config, derive_rng(train_config.seed, NS_NETWORK, 0))
         adam = AdamState.for_params(params)
         log = []
 
     train_idx, eval_idx = holdout_split(
         dataset, train_config.holdout_fraction, train_config.seed
     )
-    if train_config.eval_max_patches and len(eval_idx) > train_config.eval_max_patches:
+    if train_config.eval_max_patches:  # 0 means no cap
         eval_idx = eval_idx[: train_config.eval_max_patches]
     q = num_batches(len(train_idx), train_config.batch_size)
     if q < 1:

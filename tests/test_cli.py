@@ -645,6 +645,15 @@ def float_filters_checkpoint_case(tmp_path):
     return (lambda: load_checkpoint(model)), CheckpointError, argv
 
 
+def trailing_bytes_checkpoint_case(tmp_path):
+    model = zero_model(tmp_path)
+    model.write_bytes(model.read_bytes() + b"\0" * 4)
+    write_image(np.full((16, 16), 100.0), tmp_path / "in.fpd1")
+    argv = ["denoise", "--model", str(model), "--in", str(tmp_path / "in.fpd1"),
+            "--out", str(tmp_path / "out.fpd1")]
+    return (lambda: load_checkpoint(model)), CheckpointError, argv
+
+
 BAD_INPUT_CASES = {
     "width-float": config_case({"seed": 1, "simulate": {"width": 2.5}}),
     "range-of-three": config_case({"seed": 1, "simulate": {"a0c_sq_range": [1, 50, 150]}}),
@@ -663,6 +672,11 @@ BAD_INPUT_CASES = {
         {"train": {"batch_size": 8, "epochs": 1}, "eval": {"holdout_fraction": 0.5}}
     ),
     "checkpoint-filters-float": float_filters_checkpoint_case,
+    "checkpoint-trailing-bytes": trailing_bytes_checkpoint_case,
+    "eval-every-negative": config_case({"seed": 1, "eval": {"every": -1}}),
+    "eval-max_patches-negative": config_case({"seed": 1, "eval": {"max_patches": -3}}),
+    "holdout_fraction-one": config_case({"seed": 1, "eval": {"holdout_fraction": 1.0}}),
+    "holdout_fraction-negative": config_case({"seed": 1, "eval": {"holdout_fraction": -0.1}}),
 }
 
 

@@ -160,6 +160,24 @@ class TestFieldChecks:
         with pytest.raises(ConfigError, match="Adam needs"):
             config_from_dict({"seed": 1, "train": body})
 
+    @pytest.mark.parametrize(
+        "body",
+        [{"every": -1}, {"max_patches": -3}, {"holdout_fraction": 1.0},
+         {"holdout_fraction": 1.5}, {"holdout_fraction": -0.1}],
+        ids=repr,
+    )
+    def test_eval_setting_out_of_range_is_config_error(self, body):
+        # A negative max_patches would slice the held-out set from its end.
+        with pytest.raises(ConfigError, match="eval needs"):
+            config_from_dict({"seed": 1, "eval": body})
+
+    def test_eval_range_edges_accepted(self):
+        cfg = config_from_dict(
+            {"seed": 0, "eval": {"every": 0, "max_patches": 0, "holdout_fraction": 0.0}}
+        )
+        assert (cfg.train.eval_every, cfg.train.eval_max_patches) == (0, 0)
+        assert TrainConfig(holdout_fraction=0.999).holdout_fraction == 0.999
+
     def test_negative_seed_is_config_error(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             config_from_dict({"seed": -1})

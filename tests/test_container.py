@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fringe_denoise.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from fringe_denoise.container import read_container, write_container
 from fringe_denoise.dataset import (
     AUG_HFLIP,
     DatasetError,
@@ -107,23 +106,21 @@ class TestNonObjectHeader:
 
 
 class TestPayloadRead:
-    """``read_container`` reads the payload into memory; it maps no file."""
+    """``load_checkpoint`` reads exactly the payload its directory names
+    into memory; it maps no file."""
 
-    @pytest.mark.parametrize("arrays", [[], [np.arange(7.0), np.ones((2, 3))]],
-                             ids=["empty", "two-arrays"])
-    def test_payload_equals_the_stored_values(self, tmp_path, arrays):
-        path = tmp_path / "test.bin"
-        write_container(path, b"TEST", 1, {"n": len(arrays)}, arrays, ValueError)
-        path.write_bytes(path.read_bytes() + b"\0\0")  # a partial trailing value
-        header, payload = read_container(path, b"TEST", 1, ("n",), ValueError)
-        assert header == {"n": len(arrays)}
-        want = np.concatenate([np.ravel(a) for a in arrays] + [np.zeros(0)]).astype(np.float32)
-        assert payload.dtype == np.float32 and payload.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("extra", [2, 4, 8])
+    def test_trailing_bytes_refused(self, tmp_path, extra):
+        path = tmp_path / "net.fpdc"
+        save_arange_checkpoint(path)
+        path.write_bytes(path.read_bytes() + b"\0" * extra)
+        with pytest.raises(CheckpointError, match="tensor payload is longer than its directory"):
+            load_checkpoint(path)
 
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
     def test_payload_is_not_mapped(self, tmp_path):
         path = tmp_path / "net.fpdc"
         save_arange_checkpoint(path)
-        _, payload = read_container(path, b"FPDC", 1, (), CheckpointError)
-        assert payload.size > 0
+        params, _, adam, _ = load_checkpoint(path)
+        assert adam.t == 5 and params.layers[0][0].conv.weights.any()
         assert str(path) not in Path("/proc/self/maps").read_text()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from fringe_denoise.layers import (
     BatchNormParams,
     ConvParams,
     ShapeError,
+    batchnorm_affine,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
@@ -36,6 +39,18 @@ def make_bn(c, dtype=np.float64):
         running_mean=np.zeros(c, dtype=dtype),
         running_var=np.ones(c, dtype=dtype),
     )
+
+
+def traced_peak(fn, *args):
+    """Bytes ``fn(*args)`` allocates at its high-water, above what it
+    starts with; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
 
 
 class TestConvForward:
@@ -358,6 +373,13 @@ class TestLeakyRelu:
         with pytest.raises(ValueError):
             leaky_relu_forward(np.zeros((1, 1, 1, 1)), 1.5)
 
+    def test_forward_allocates_one_activation(self):
+        # The result is written into the alpha*x array.  A quarter of an
+        # activation of 1 MiB is left for numpy's ufunc buffers.
+        x = np.random.default_rng(7).standard_normal((8, 16, 32, 32))
+        peak = traced_peak(leaky_relu_forward, x, 0.5)
+        assert peak <= 1.25 * x.nbytes, f"peak {peak / x.nbytes:.2f} activations"
+
 
 class TestBatchNormForward:
     def test_standardizes_two_values(self):
@@ -402,6 +424,34 @@ class TestBatchNormForward:
         expected_var = 0.9 * 1.0 + 0.1 * x.var() * count / (count - 1)
         np.testing.assert_allclose(bn.running_mean, [expected_mean], rtol=1e-12)
         np.testing.assert_allclose(bn.running_var, [expected_var], rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infer_is_the_affine_map_of_the_running_x_hat(self, dtype):
+        """INFER normalizes as TRAIN does, with the running statistics in
+        place of the batch's, and ends in ``batchnorm_affine``: bit for bit."""
+        rng = np.random.default_rng(15)
+        x = (rng.standard_normal((3, 4, 9, 7)) * 20 + 5).astype(dtype)
+        bn = make_bn(4, dtype)
+        bn.gamma[:] = rng.uniform(0.3, 2.0, 4)
+        bn.beta[:] = rng.standard_normal(4) * 3
+        bn.running_mean[:] = rng.standard_normal(4) * 4
+        bn.running_var[:] = rng.uniform(0.5, 400.0, 4)
+        inv_std = 1.0 / np.sqrt(bn.running_var + dtype(bn.epsilon))
+        x_hat = (x - bn.running_mean[None, :, None, None]) * inv_std[None, :, None, None]
+        expect = batchnorm_affine(x_hat, bn.gamma, bn.beta)
+        out, cache = batchnorm_forward(x, bn, INFER)
+        assert cache is None and out.dtype == dtype
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        np.testing.assert_array_equal(out.view(bits), expect.view(bits))
+
+    def test_train_allocates_two_activations(self):
+        # x_hat, built in place in the subtraction's array, and the output;
+        # the variance's temporary is freed before x_hat is made.  A quarter
+        # of an activation of 1 MiB is left for numpy's ufunc buffers (64 KiB
+        # per broadcast operand) and the per-channel vectors.
+        x = np.random.default_rng(16).standard_normal((8, 16, 32, 32))
+        peak = traced_peak(batchnorm_forward, x, make_bn(16), TRAIN)
+        assert peak <= 2.25 * x.nbytes, f"peak {peak / x.nbytes:.2f} activations"
 
     def test_single_element_statistics_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):

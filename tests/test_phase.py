@@ -114,3 +114,30 @@ class TestRandomSpec:
         # some fringes present, and the finest stay resolvable (>= ~4 px period)
         assert np.median(slope) > 0.01
         assert np.percentile(slope, 99) < 2.0 * np.pi / 4
+
+
+class TestSpecFromDict:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            {"terms": 5},
+            {"terms": [{"coeff": 1.0}]},
+            {"terms": [{"term": {"kind": "constant", "value": 1.0}}]},
+            {"terms": [{"coeff": "x", "term": {"kind": "constant", "value": 1.0}}]},
+            {"terms": [{"coeff": 1.0, "term": {"kind": "constant", "valeu": 1.0}}]},
+            {"terms": [{"coeff": 1.0, "term": {"value": 1.0}}]},
+            {"terms": [{"coeff": 1.0, "term": {"kind": ["constant"], "value": 1.0}}]},
+            {"terms": [{"coeff": 1.0, "term": {"kind": "product", "poly": {}}}]},
+            {"terms": [{"coeff": 1.0, "term": {"kind": "gaussian2d", "amplitude": 1,
+                                               "denom_i": "wide"}}]},
+            {"terms": ["constant"]},
+            [],
+        ],
+        ids=["empty", "terms-not-a-list", "no-term", "no-coeff", "coeff-not-a-number",
+             "unknown-field", "no-kind", "kind-not-a-string", "product-without-gauss",
+             "denom-not-a-number", "entry-not-an-object", "not-an-object"],
+    )
+    def test_malformed_record_is_phase_spec_error(self, data):
+        with pytest.raises(PhaseSpecError):
+            spec_from_dict(data)
