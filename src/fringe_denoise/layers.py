@@ -5,13 +5,16 @@ height, width).  Convolutions are stride-1 with zero same-padding, so
 spatial dimensions are preserved through every layer.
 
 A convolution copies its input once, zero-padded and channels-last, into
-an (N*Hp*Wp, C) row matrix.  Filter tap (u, v) then reads the contiguous
-row slice that starts u*Wp + v rows later, so the output on the padded grid
-is a sum of k*k GEMMs over shifted views of one buffer, cropped at the end.
-This is the low-memory GEMM convolution of Anderson et al.
-(arXiv:1709.03395); unlike im2col it never copies the input k*k times.
+an (N*Hp*Wp, C) row matrix.  Filter tap (u, v) then reads the row that
+lies u*Wp + v rows after the output's, as in the low-memory GEMM
+convolution of Anderson et al. (arXiv:1709.03395).  The k taps of kernel
+row u read k consecutive rows, k*C contiguous values, so for the output
+rows of one residue modulo k they form a (rows, k*C) matrix that is a plain
+reshaped view of the buffer, with no copy, as in MEC (Cho & Brand,
+arXiv:1706.06873).  The output on the padded grid is then k GEMMs per
+kernel row, each with K = k*C over one residue's rows, cropped at the end.
 The weight gradient and the adjoint (input-gradient) convolution reuse the
-same shifted slices.
+same residue views.
 """
 
 from __future__ import annotations
@@ -114,9 +117,18 @@ def _stacked_taps(flat: np.ndarray, shifts: list[int], r: int) -> np.ndarray:
     return cols
 
 
-# Byte budget of the tap-product buffer.  Above about 4.3 MB every 16-filter
+# Byte budget of one row block of the output.  The product buffer holds one
+# residue's share of a block, 1/k of it.  Above about 4.3 MB every 16-filter
 # shape of the desk net and of 256-square inference stays in one block.
 PRODUCT_BYTES = 9 << 19  # 4.5 MiB
+
+
+def _residue_view(rows: np.ndarray, start: int, j: int, k: int) -> np.ndarray:
+    """The (j, k*C) view of (., C) rows whose row i joins rows start + i*k
+    to start + i*k + k - 1: the k taps of one kernel row, for every k-th
+    output row.  Consecutive rows are contiguous, so this is no copy."""
+    kc = k * rows.shape[1]
+    return rows.reshape(-1)[start * rows.shape[1] :][: j * kc].reshape(j, kc)
 
 
 def _shifted_conv(
@@ -125,30 +137,56 @@ def _shifted_conv(
     """Bias-free same-padded convolution of padded rows with (k, k, C, M) taps.
 
     Returns an (N, M, H, W) view of the cropped output.  A one-channel input
-    folds its k*k taps into a single GEMM; otherwise each tap adds one GEMM
-    over a shifted slice of ``rows``.  Those tap products pass through one
-    buffer of at most ``PRODUCT_BYTES``: the output is walked in row blocks
-    that fit it, each block taking every tap in order.  The buffer is freed
-    on return; the output buffer, padded grid included, lives as long as the
-    returned view.
+    folds its k*k taps into a single GEMM.  Otherwise output rows r = rho
+    (mod k) take, for each kernel row u, one GEMM of the residue view that
+    starts u*Wp rows after them with the (k*C, M) slab of row u's taps;
+    rows u > 0 pass through one product buffer and are added in.  The output
+    is walked in row blocks, a multiple of k rows long, whose products fit
+    ``PRODUCT_BYTES``.  The buffer is freed on return; the output buffer,
+    padded grid included, lives as long as the returned view.
     """
     k, _, c, m = taps.shape
-    taps = taps.reshape(k * k, c, m)
     r, shifts = _tap_geometry(n, h, w, k)
     out = np.empty((n * (h + k - 1) * (w + k - 1), m), dtype=rows.dtype)
     if c == 1:
-        np.matmul(_stacked_taps(rows[:, 0], shifts, r).T, taps[:, 0], out=out[:r])
+        cols = _stacked_taps(rows[:, 0], shifts, r)
+        np.matmul(cols.T, taps.reshape(k * k, m), out=out[:r])
     else:
-        block = max(1, min(r, PRODUCT_BYTES // (m * out.itemsize)))
-        product = np.empty((block, m), dtype=rows.dtype)
+        wp = w + k - 1
+        slabs = taps.reshape(k, k * c, m)
+        block = max(k, PRODUCT_BYTES // (m * out.itemsize) // k * k)
+        product = np.empty((-(-min(block, r) // k), m), dtype=rows.dtype)
         for lo in range(0, r, block):
-            hi = min(lo + block, r)
-            acc, prod = out[lo:hi], product[: hi - lo]
-            np.matmul(rows[lo:hi], taps[0], out=acc)
-            for s, tap in zip(shifts[1:], taps[1:]):
-                np.matmul(rows[s + lo : s + hi], tap, out=prod)
-                acc += prod
+            for rho in range(lo, min(lo + k, r)):
+                acc = out[rho : min(lo + block, r) : k]
+                prod = product[: len(acc)]
+                for u, slab in enumerate(slabs):
+                    view = _residue_view(rows, rho + u * wp, len(acc), k)
+                    if u == 0:
+                        np.matmul(view, slab, out=acc)
+                    else:
+                        acc += np.matmul(view, slab, out=prod)
     return out.reshape(n, h + k - 1, w + k - 1, m)[:, :h, :w].transpose(0, 3, 1, 2)
+
+
+def _residue_weight_grad(rows: np.ndarray, g: np.ndarray, k: int, wp: int) -> np.ndarray:
+    """(k, k*C, M) weight gradient of padded rows against output-grid rows g.
+
+    Kernel row u's slab sums, over the residues rho, the transposed residue
+    view that starts at row rho + u*Wp times g[rho::k].
+    """
+    kc, m = k * rows.shape[1], g.shape[1]
+    grad_taps = np.empty((k, kc, m), dtype=g.dtype)
+    product = np.empty((kc, m), dtype=g.dtype)
+    for u, slab in enumerate(grad_taps):
+        for rho in range(min(k, len(g))):
+            g_rho = g[rho::k]
+            view = _residue_view(rows, rho + u * wp, len(g_rho), k)
+            if rho == 0:
+                np.matmul(view.T, g_rho, out=slab)
+            else:
+                slab += np.matmul(view.T, g_rho, out=product)
+    return grad_taps
 
 
 def _check_conv_input(x: np.ndarray, params: ConvParams) -> None:
@@ -182,8 +220,9 @@ def conv2d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Exact gradients of ``conv2d_forward``.
 
-    The weight gradient of tap (u, v) is the shifted input slice transposed
-    times ``grad_out`` on the output grid.  The input gradient is the adjoint
+    The weight gradient of kernel row u is, summed over the residues rho
+    modulo k, the input's residue view transposed times the rows rho, rho+k,
+    ... of ``grad_out`` on the output grid.  The input gradient is the adjoint
     map: the same shifted-slice convolution of ``grad_out`` with the filter
     bank rotated 180 degrees and transposed in its channel axes.  With
     ``need_input_grad`` false it is skipped and returned as ``None``.
@@ -214,7 +253,7 @@ def conv2d_backward(
     if c == 1:
         grad_taps = _stacked_taps(rows[:, 0], shifts, r) @ g
     else:
-        grad_taps = np.stack([rows[s : s + r].T @ g for s in shifts])
+        grad_taps = _residue_weight_grad(rows, g, k, w + 2 * p)
     del rows, g
     grad_w = np.ascontiguousarray(grad_taps.reshape(k, k, c, m).transpose(3, 2, 0, 1))
     grad_x = None
@@ -277,17 +316,22 @@ def batchnorm_forward(
                 f"TRAIN-mode batchnorm needs at least 2 values per channel, got {count}"
             )
         mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        x_hat = np.subtract(x, mean[None, :, None, None])
+        # x.var(axis=(0, 2, 3)) from the centred array, bit for bit: the
+        # squares summed from a scratch array, then divided by an intp count
+        # as numpy's own variance divides.
+        var = np.square(x_hat, out=np.empty_like(x_hat)).sum(axis=(0, 2, 3))
+        var = np.true_divide(var, np.intp(count), out=var, casting="unsafe")
         unbiased = var * (count / (count - 1))
         m = params.momentum
         for stat, batch in ((params.running_mean, mean), (params.running_var, unbiased)):
             stat[:] = m * stat + (1.0 - m) * batch.astype(stat.dtype)
     elif mode == INFER:
         mean, var = params.running_mean.astype(x.dtype), params.running_var.astype(x.dtype)
+        x_hat = np.subtract(x, mean[None, :, None, None])
     else:
         raise ValueError(f"mode must be {TRAIN!r} or {INFER!r}, got {mode!r}")
     inv_std = 1.0 / np.sqrt(var + x.dtype.type(params.epsilon))
-    x_hat = np.subtract(x, mean[None, :, None, None])
     x_hat *= inv_std[None, :, None, None]
     gamma = params.gamma.astype(x.dtype)
     out = batchnorm_affine(x_hat, gamma, params.beta.astype(x.dtype))

@@ -232,24 +232,35 @@ def test_float64_input_promotes_float32_filters():
 
 
 def one_block_shifted_conv(rows, taps, n, h, w):
-    """``_shifted_conv`` with every tap product in one (R, M) buffer, the
-    form it had before the products were walked in row blocks."""
+    """``_shifted_conv`` with all output rows in one block: for each residue
+    rho modulo k, kernel row u's k taps are one GEMM of the (rows, k*C)
+    matrix that starts u*Wp + rho rows in, added in order of u."""
     k, _, c, m = taps.shape
-    taps = taps.reshape(k * k, c, m)
-    r, shifts = layers._tap_geometry(n, h, w, k)
-    out = np.empty((n * (h + k - 1) * (w + k - 1), m), dtype=rows.dtype)
-    np.matmul(rows[:r], taps[0], out=out[:r])
-    product = np.empty((r, m), dtype=rows.dtype)
-    for s, tap in zip(shifts[1:], taps[1:]):
-        np.matmul(rows[s : s + r], tap, out=product)
-        out[:r] += product
-    return out.reshape(n, h + k - 1, w + k - 1, m)[:, :h, :w].transpose(0, 3, 1, 2)
+    r, _ = layers._tap_geometry(n, h, w, k)
+    wp, kc = w + k - 1, k * c
+    flat = rows.reshape(-1)
+    out = np.empty((n * (h + k - 1) * wp, m), dtype=rows.dtype)
+    for rho in range(k):
+        acc = out[rho:r:k]
+        j = len(acc)
+        for u, slab in enumerate(taps.reshape(k, kc, m)):
+            lo = (rho + u * wp) * c
+            product = flat[lo : lo + j * kc].reshape(j, kc) @ slab
+            if u == 0:
+                acc[...] = product
+            else:
+                acc += product
+    return out.reshape(n, h + k - 1, wp, m)[:, :h, :w].transpose(0, 3, 1, 2)
 
 
 class TestBlockedTapProducts:
-    # 64 filters on 4 x 72 x 72: about 22.8k output rows of 256 bytes, which
-    # the product budget splits into at least two row blocks.
+    # 64 filters on 4 x 72 x 72: R = 22796 output rows of 256 bytes, one
+    # past a multiple of k, which the product budget splits into two row
+    # blocks.  FWD_PEAK and BWD_PEAK are the bytes conv2d_forward and
+    # conv2d_backward allocated at their high-water with one GEMM per tap,
+    # rounded up to a KiB (small Python objects move them by tens of bytes).
     N, C, M, K, H, W = 4, 64, 64, 5, 72, 72
+    FWD_PEAK, BWD_PEAK = 16_563 << 10, 17_365 << 10
 
     def case(self):
         rng = np.random.default_rng(7)
@@ -257,6 +268,7 @@ class TestBlockedTapProducts:
         p = make_conv(rng, self.M, self.C, self.K, np.float32)
         g = rng.standard_normal((self.N, self.M, self.H, self.W)).astype(np.float32)
         r, _ = layers._tap_geometry(self.N, self.H, self.W, self.K)
+        assert r % self.K != 0
         assert r * self.M * 4 > layers.PRODUCT_BYTES  # two blocks or more
         return x, p, g
 
@@ -281,6 +293,21 @@ class TestBlockedTapProducts:
         gx, _, _ = conv2d_backward(x, p, g)
         assert gx.flags.c_contiguous
         np.testing.assert_array_equal(gx.view(np.uint32), expect.view(np.uint32))
+
+    def test_forward_allocates_no_more_than_one_gemm_per_tap(self):
+        x, p, _ = self.case()
+        assert traced_peak(conv2d_forward, x, p) <= self.FWD_PEAK
+
+    def test_backward_allocates_no_more_than_one_gemm_per_tap(self):
+        x, p, g = self.case()
+        assert traced_peak(conv2d_backward, x, p, g) <= self.BWD_PEAK
+
+
+class TestBlockedTapProductsK3(TestBlockedTapProducts):
+    # A 3 x 3 kernel: R = 45902 rows of 128 bytes, two past a multiple of k,
+    # in two row blocks.
+    N, C, M, K, H, W = 2, 32, 32, 3, 150, 150
+    FWD_PEAK, BWD_PEAK = 16_199 << 10, 16_272 << 10
 
 
 class TestLeakyRelu:
@@ -444,9 +471,27 @@ class TestBatchNormForward:
         bits = np.uint32 if dtype == np.float32 else np.uint64
         np.testing.assert_array_equal(out.view(bits), expect.view(bits))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_variance_bitwise_equal_to_numpy_var(self, dtype):
+        """The batch variance, taken from the centred array, has the bits of
+        ``x.var``: seen through inv_std and, with momentum 0, through the
+        running variance (the unbiased estimate), channel by channel."""
+        rng = np.random.default_rng(17)
+        scale = rng.uniform(0.01, 50.0, 32)[None, :, None, None]
+        x = (rng.standard_normal((6, 32, 13, 11)) * scale + 3 * scale).astype(dtype)
+        bn = make_bn(32, dtype)
+        bn.momentum = 0.0
+        _, (_, inv_std, _, count) = batchnorm_forward(x, bn, TRAIN)
+        var = x.var(axis=(0, 2, 3))
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        expect = 1.0 / np.sqrt(var + dtype(bn.epsilon))
+        np.testing.assert_array_equal(inv_std.view(bits), expect.view(bits))
+        unbiased = var * (count / (count - 1))
+        np.testing.assert_array_equal(bn.running_var.view(bits), unbiased.view(bits))
+
     def test_train_allocates_two_activations(self):
         # x_hat, built in place in the subtraction's array, and the output;
-        # the variance's temporary is freed before x_hat is made.  A quarter
+        # the variance's scratch array is freed before the output is made.  A quarter
         # of an activation of 1 MiB is left for numpy's ufunc buffers (64 KiB
         # per broadcast operand) and the per-channel vectors.
         x = np.random.default_rng(16).standard_normal((8, 16, 32, 32))
