@@ -175,17 +175,11 @@ def _residue_weight_grad(rows: np.ndarray, g: np.ndarray, k: int, wp: int) -> np
     Kernel row u's slab sums, over the residues rho, the transposed residue
     view that starts at row rho + u*Wp times g[rho::k].
     """
-    kc, m = k * rows.shape[1], g.shape[1]
-    grad_taps = np.empty((k, kc, m), dtype=g.dtype)
-    product = np.empty((kc, m), dtype=g.dtype)
+    grad_taps = np.zeros((k, k * rows.shape[1], g.shape[1]), dtype=g.dtype)
     for u, slab in enumerate(grad_taps):
         for rho in range(min(k, len(g))):
             g_rho = g[rho::k]
-            view = _residue_view(rows, rho + u * wp, len(g_rho), k)
-            if rho == 0:
-                np.matmul(view.T, g_rho, out=slab)
-            else:
-                slab += np.matmul(view.T, g_rho, out=product)
+            slab += _residue_view(rows, rho + u * wp, len(g_rho), k).T @ g_rho
     return grad_taps
 
 
