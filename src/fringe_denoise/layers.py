@@ -268,19 +268,28 @@ def leaky_relu_forward(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.fmax(x, scaled, out=scaled)
 
 
-def leaky_relu_backward(x: np.ndarray, alpha: float, grad_out: np.ndarray) -> np.ndarray:
-    # Slope at exactly 0 is taken as 1; must stay consistent with forward,
-    # where 0 maps to 0 under either branch.
-    if x.shape != grad_out.shape:
-        raise ShapeError(f"shape mismatch: input {x.shape} vs grad {grad_out.shape}")
-    # A two-entry lookup on the sign mask builds the slope far faster than
+def leaky_relu_backward(
+    positive: np.ndarray, alpha: float, grad_out: np.ndarray
+) -> np.ndarray:
+    """grad_out times the slope, where ``positive`` is ``pre >= 0`` of the
+    pre-activation ``pre`` the forward pass read.
+
+    The slope is 1 where the pre-activation is >= 0, both signed zeros
+    included (0 maps to 0 under either branch), and alpha elsewhere, NaN
+    included.  The mask must come from the pre-activation, not from the
+    activation: alpha * x underflows to -0.0 for a tiny negative x (and is
+    -0.0 for every negative x at alpha = 0), which compares >= 0.
+    """
+    if positive.shape != grad_out.shape:
+        raise ShapeError(f"shape mismatch: mask {positive.shape} vs grad {grad_out.shape}")
+    # A two-entry lookup on the mask builds the slope far faster than
     # np.where, and gives the same values.  np.take widens its index to
     # intp, so a batch runs one sample at a time to bound that copy.
-    table = np.array([alpha, 1.0], dtype=x.dtype)
-    out = np.empty(x.shape, dtype=np.result_type(grad_out, x))
-    samples = zip(x, grad_out, out) if x.ndim > 1 else [(x, grad_out, out)]
-    for xb, gb, ob in samples:
-        np.multiply(gb, np.take(table, (xb >= 0).view(np.uint8)), out=ob)
+    table = np.array([alpha, 1.0], dtype=grad_out.dtype)
+    out = np.empty_like(grad_out)
+    samples = zip(positive, grad_out, out) if positive.ndim > 1 else [(positive, grad_out, out)]
+    for pb, gb, ob in samples:
+        np.multiply(gb, np.take(table, pb.view(np.uint8)), out=ob)
     return out
 
 

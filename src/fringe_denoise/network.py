@@ -147,7 +147,9 @@ def network_forward(
     batch-norm layer and ``None`` wherever backward can recompute instead:
     a batch-norm layer keeps only its batch-norm cache (with x_hat), a
     stage's first layer only the one-channel stage input its conv read, and
-    the reconstruction layer nothing.  ``act_in`` is always ``None``; the
+    the reconstruction layer nothing.  Backward rebuilds each activated
+    layer's pre-activation once, from this cache, for both the conv input
+    above it and its own leaky-ReLU slope.  ``act_in`` is always ``None``; the
     slot is kept only because the benchmark's train-cache hook unpacks
     3-tuples.  INFER mode returns ``None`` caches.
     """
@@ -169,21 +171,6 @@ def network_forward(
     return x, caches
 
 
-def _pre_activation(cache: tuple, layer: LayerParams) -> np.ndarray:
-    """A layer's activation input, rebuilt from its cache.
-
-    A batch-norm layer maps its x_hat through the affine map; a stage's
-    first layer runs its conv on the cached stage input again.  Both are
-    the forward pass's own calls on the same operands, so the result is
-    the forward pass's pre-activation bit for bit.
-    """
-    conv_in, bn_cache, _ = cache
-    if bn_cache is None:
-        return conv2d_forward(conv_in, layer.conv)
-    x_hat, _, gamma, _ = bn_cache
-    return batchnorm_affine(x_hat, gamma, layer.bn.beta.astype(x_hat.dtype))
-
-
 def network_backward(
     caches: list,
     grad_v: np.ndarray,
@@ -192,12 +179,16 @@ def network_backward(
 ) -> dict[str, np.ndarray]:
     """Chain gradients of the noise estimate back through every stage.
 
-    A conv input or pre-activation that the forward pass did not cache is
-    recomputed here by the same functions the forward pass ran, in the same
-    order, so the gradients equal those of a cache of every tensor bit for
-    bit.  The batch-norm shift and the first layers' filters are read from
-    ``params``, so call this before the parameters are updated.  Returns a
-    dict keyed like ``iter_tensors(..., trainable_only=True)``.
+    A conv input that the forward pass did not cache, the leaky-ReLU
+    output of the layer below, is rebuilt once, from that layer's
+    pre-activation, which is remade by the calls the forward pass ran on
+    the same operands: the affine map of its x_hat, or its one-channel
+    conv.  So the gradients equal those of a cache of every tensor bit for
+    bit.  The rebuild also keeps ``pre >= 0`` as a one-byte mask until the
+    layer below's leaky-ReLU gradient reads it, so no pre-activation is
+    made twice.  The batch-norm shift and the first layers' filters are
+    read from ``params``, so call this before the parameters are updated.
+    Returns a dict keyed like ``iter_tensors(..., trainable_only=True)``.
 
     ``caches`` is consumed: each layer pops its entry, and drops its
     batch-norm cache right after the batch-norm gradient, so the list is
@@ -205,12 +196,10 @@ def network_backward(
     as one already consumed, raises ``ValueError``.
 
     Beyond the entries not yet popped, a layer holds only the gradient
-    flowing in and what its next kernel reads.  A rebuilt pre-activation
-    lives only for the call that reads it: the conv input is made from the
-    previous layer's, which is dropped before the conv and rebuilt when
-    that layer's entry is popped, for the leaky-ReLU gradient.  The conv
-    input is dropped after its conv, each gradient when the next replaces
-    it.
+    flowing in, what its next kernel reads and the mask of the layer
+    below.  A rebuilt pre-activation is dropped once its mask and its
+    activation are made, the mask after the leaky-ReLU gradient, the conv
+    input after its conv, each gradient when the next replaces it.
     """
     if caches is None:
         raise ValueError("network_backward requires caches from a TRAIN-mode forward")
@@ -226,20 +215,32 @@ def network_backward(
             f"got {len(caches)}; pass the list of one TRAIN-mode forward, once"
         )
     g = grad_v
+    positive = None  # pre >= 0 of the layer below, for its leaky-ReLU gradient
     for i in reversed(range(len(flat_layers))):
         s, d, layer = flat_layers[i]
-        conv_in, bn_cache, _ = entry = caches.pop()
+        conv_in, bn_cache, _ = caches.pop()
         if layer.alpha is not None:
-            g = leaky_relu_backward(_pre_activation(entry, layer), layer.alpha, g)
-        del entry
+            g = leaky_relu_backward(positive, layer.alpha, g)
+            positive = None
         if layer.bn is not None:
             g, g_gamma, g_beta = batchnorm_backward(bn_cache, g)
             bn_cache = None
             grads[f"s{s:02d}.l{d:02d}.bn.gamma"] = g_gamma
             grads[f"s{s:02d}.l{d:02d}.bn.beta"] = g_beta
         if conv_in is None:
+            # Rebuild the layer below's pre-activation by the forward pass's
+            # own calls on the same operands, so it is the forward's bit for
+            # bit: the affine map of its x_hat, or its one-channel conv.
             prev = flat_layers[i - 1][2]
-            conv_in = leaky_relu_forward(_pre_activation(caches[-1], prev), prev.alpha)
+            prev_in, prev_bn, _ = caches[-1]
+            if prev_bn is None:
+                pre = conv2d_forward(prev_in, prev.conv)
+            else:
+                gamma = prev_bn[2]
+                pre = batchnorm_affine(prev_bn[0], gamma, prev.bn.beta.astype(gamma.dtype))
+            positive = pre >= 0
+            conv_in = leaky_relu_forward(pre, prev.alpha)
+            del pre, prev_bn
         # The network input needs no gradient, so the very first conv
         # skips its adjoint convolution.
         first = s == 0 and d == 0

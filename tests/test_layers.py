@@ -328,8 +328,8 @@ class TestLeakyRelu:
 
     def test_backward_cases(self):
         g = np.full((1, 1, 1, 1), 2.0)
-        assert leaky_relu_backward(np.array([[[[4.0]]]]), 0.5, g) == 2.0
-        assert leaky_relu_backward(np.array([[[[-4.0]]]]), 0.5, g) == 1.0
+        assert leaky_relu_backward(np.array([[[[4.0]]]]) >= 0, 0.5, g) == 2.0
+        assert leaky_relu_backward(np.array([[[[-4.0]]]]) >= 0, 0.5, g) == 1.0
 
     @pytest.mark.parametrize("seed", range(20))
     def test_backward_matches_finite_differences(self, seed):
@@ -338,7 +338,7 @@ class TestLeakyRelu:
         x[np.abs(x) < 1e-3] = 0.5  # keep samples away from the kink
         r = rng.standard_normal(x.shape)
         alpha = 0.25
-        g = leaky_relu_backward(x, alpha, r)
+        g = leaky_relu_backward(x >= 0, alpha, r)
         fd = finite_diff_grad(
             lambda a: float(np.vdot(leaky_relu_forward(a, alpha), r)), x
         )
@@ -371,19 +371,19 @@ class TestLeakyRelu:
     )
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 1.0])
     def test_backward_bitwise_equal_to_where_formula(self, alpha, x_dtype, g_dtype):
-        """The slope lookup against np.where(x >= 0, 1, alpha) * grad_out,
-        bit for bit and in the same result dtype, on signed zeros, NaN,
-        both infinities and random values, over three samples; then the
-        same values as 2-D, 1-D and 0-D inputs."""
+        """The slope lookup on the mask x >= 0 against
+        grad_out * np.where(x >= 0, 1, alpha) in grad_out's dtype, bit for
+        bit, on signed zeros, NaN, both infinities and random values, over
+        three samples; then the same values as 2-D, 1-D and 0-D inputs."""
         rng = np.random.default_rng(6)
         special = [0.0, -0.0, np.nan, np.inf, -np.inf]
         x = np.concatenate([rng.standard_normal(64) * 100, special]).astype(x_dtype)
         g = np.concatenate([special, rng.standard_normal(64) * 100]).astype(g_dtype)
         x, g = x.reshape(3, 1, 1, -1), g.reshape(3, 1, 1, -1)
         with np.errstate(invalid="ignore"):  # 0 * inf
-            expect = g * np.where(x >= 0, x.dtype.type(1.0), x.dtype.type(alpha))
-            out = leaky_relu_backward(x, alpha, g)
-        assert out.dtype == expect.dtype == np.result_type(x_dtype, g_dtype)
+            expect = g * np.where(x >= 0, g.dtype.type(1.0), g.dtype.type(alpha))
+            out = leaky_relu_backward(x >= 0, alpha, g)
+        assert out.dtype == expect.dtype == g_dtype
         bits = np.uint32 if out.dtype == np.float32 else np.uint64
         np.testing.assert_array_equal(out.view(bits), expect.view(bits))
         flat_x, flat_g = x.ravel(), g.ravel()
@@ -391,8 +391,8 @@ class TestLeakyRelu:
         cases += [(flat_x[i, ...], flat_g[i, ...]) for i in range(flat_x.size)]  # 0-D
         for xs, gs in cases:
             with np.errstate(invalid="ignore"):
-                want = np.asarray(gs * np.where(xs >= 0, xs.dtype.type(1.0), xs.dtype.type(alpha)))
-                got = leaky_relu_backward(xs, alpha, gs)
+                want = np.asarray(gs * np.where(xs >= 0, gs.dtype.type(1.0), gs.dtype.type(alpha)))
+                got = leaky_relu_backward(xs >= 0, alpha, gs)
             assert got.shape == xs.shape and got.dtype == out.dtype
             np.testing.assert_array_equal(got.view(bits), want.view(bits))
 

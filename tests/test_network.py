@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fringe_denoise import network
 from fringe_denoise.layers import (
     INFER,
     TRAIN,
@@ -262,7 +263,7 @@ def three_tensor_grads(z, grad_v, params):
     g = grad_v
     for prefix, layer, conv_in, bn_cache, pre in reversed(tape):
         if layer.alpha is not None:
-            g = leaky_relu_backward(pre, layer.alpha, g)
+            g = leaky_relu_backward(pre >= 0, layer.alpha, g)
         if bn_cache is not None:
             g, grads[f"{prefix}.bn.gamma"], grads[f"{prefix}.bn.beta"] = batchnorm_backward(
                 bn_cache, g
@@ -356,6 +357,30 @@ class TestTrainCache:
         stage_input = n * h * w * 4
         expected = bn_layers * (activation + per_channel) + cfg.stages * stage_input
         assert sum(held.values()) == expected
+
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["2x3-alpha0", "3x5"])
+    def test_backward_rebuilds_each_pre_activation_once(self, cfg, monkeypatch):
+        # One rebuild per activated layer serves both the conv input above
+        # it and its own leaky-ReLU slope: a stage's first layer runs its
+        # one-channel conv once more, a batch-norm layer its affine map once.
+        params = build_network(cfg, np.random.default_rng(27))
+        z = np.random.default_rng(28).standard_normal((3, 1, 9, 7)).astype(np.float32)
+        v, caches = network_forward(z, params, cfg, mode=TRAIN)
+        calls = {}
+        for name in ("conv2d_forward", "batchnorm_affine", "leaky_relu_forward"):
+            def counted(*args, _name=name, _fn=getattr(network, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(network, name, counted)
+        network_backward(caches, np.ones_like(v), params, cfg)
+        layers = [layer for stage in params.layers for layer in stage]
+        assert calls == {
+            "conv2d_forward": cfg.stages,
+            "batchnorm_affine": sum(layer.bn is not None for layer in layers),
+            "leaky_relu_forward": sum(layer.alpha is not None for layer in layers),
+        }
 
 
 class TestBackwardMemory:
