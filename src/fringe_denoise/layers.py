@@ -359,24 +359,24 @@ def batchnorm_affine(x_hat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> 
 def batchnorm_backward(
     cache: tuple, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the TRAIN-mode map, including the mean/var dependence."""
+    """Gradients of the TRAIN-mode map, including the mean/var dependence.
+
+    With dy = grad_out, grad_beta is sum(dy) and grad_gamma is
+    sum(dy * x_hat), per channel, and the input gradient follows from them
+    (Ioffe & Szegedy, arXiv:1502.03167, section 3):
+    gamma * inv_std * (dy - (sum(dy) + x_hat * sum(dy * x_hat)) / count),
+    built in place in the one array that the product dy * x_hat allocates.
+    """
     if cache is None:
         raise ValueError("batchnorm_backward requires a TRAIN-mode cache")
     x_hat, inv_std, gamma, count = cache
     grad_beta = grad_out.sum(axis=(0, 2, 3))
-    # One scratch array holds each product with x_hat in turn; the result
-    # is built in place in g.  Every step is the elementwise operation of
-    # inv_std / count * (count * g - sum_g - x_hat * sum_gx) in its order.
-    scratch = grad_out * x_hat
-    grad_gamma = scratch.sum(axis=(0, 2, 3))
-    g = grad_out * gamma[None, :, None, None]
-    sum_g = g.sum(axis=(0, 2, 3))
-    sum_gx = np.multiply(g, x_hat, out=scratch).sum(axis=(0, 2, 3))
-    g *= count
-    g -= sum_g[None, :, None, None]
-    g -= np.multiply(x_hat, sum_gx[None, :, None, None], out=scratch)
-    del scratch
-    g *= inv_std[None, :, None, None] / count
+    g = grad_out * x_hat
+    grad_gamma = g.sum(axis=(0, 2, 3))
+    np.multiply(x_hat, (grad_gamma / count)[None, :, None, None], out=g)
+    g += (grad_beta / count)[None, :, None, None]
+    np.subtract(grad_out, g, out=g)
+    g *= (gamma * inv_std)[None, :, None, None]
     return g, grad_gamma, grad_beta
 
 

@@ -546,17 +546,17 @@ class TestBatchNormBackward:
     )
     def test_bitwise_equal_to_expression(self, x_dtype, g_dtype):
         """The in-place backward against the plain expression it replaces,
-        bit for bit and in the same dtypes; grad_out is left as it was."""
+        gamma * inv_std * (dy - (sum(dy) + x_hat * sum(dy * x_hat)) / count)
+        with the division by count taken on the sums, bit for bit and in the
+        same dtypes; grad_out is left as it was."""
 
         def expression(cache, grad_out):
             x_hat, inv_std, gamma, count = cache
             grad_beta = grad_out.sum(axis=(0, 2, 3))
             grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
-            g = grad_out * gamma[None, :, None, None]
-            sum_g = g.sum(axis=(0, 2, 3))
-            sum_gx = (g * x_hat).sum(axis=(0, 2, 3))
-            grad_x = (inv_std[None, :, None, None] / count) * (
-                count * g - sum_g[None, :, None, None] - x_hat * sum_gx[None, :, None, None]
+            c = (None, slice(None), None, None)
+            grad_x = (gamma * inv_std)[c] * (
+                grad_out - (x_hat * (grad_gamma / count)[c] + (grad_beta / count)[c])
             )
             return grad_x, grad_gamma, grad_beta
 
@@ -576,6 +576,16 @@ class TestBatchNormBackward:
     def test_infer_cache_rejected(self):
         with pytest.raises(ValueError, match="TRAIN"):
             batchnorm_backward(None, np.zeros((1, 1, 2, 2)))
+
+    def test_allocates_one_activation(self):
+        # The input gradient is built in the dy * x_hat array.  A quarter of
+        # an activation of 1 MiB is left for numpy's ufunc buffers and the
+        # per-channel vectors.
+        x = np.random.default_rng(18).standard_normal((8, 16, 32, 32))
+        _, cache = batchnorm_forward(x, make_bn(16), TRAIN)
+        g = np.random.default_rng(19).standard_normal(x.shape)
+        peak = traced_peak(batchnorm_backward, cache, g)
+        assert peak <= 1.25 * x.nbytes, f"peak {peak / x.nbytes:.2f} activations"
 
 
 class TestHeInit:
