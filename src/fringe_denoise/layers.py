@@ -268,18 +268,11 @@ def leaky_relu_forward(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.fmax(x, scaled, out=scaled)
 
 
-def leaky_relu_backward(
-    positive: np.ndarray, alpha: float, grad_out: np.ndarray
-) -> np.ndarray:
-    """grad_out times the slope, where ``positive`` is ``pre >= 0`` of the
-    pre-activation ``pre`` the forward pass read.
-
-    The slope is 1 where the pre-activation is >= 0, both signed zeros
-    included (0 maps to 0 under either branch), and alpha elsewhere, NaN
-    included.  The mask must come from the pre-activation, not from the
-    activation: alpha * x underflows to -0.0 for a tiny negative x (and is
-    -0.0 for every negative x at alpha = 0), which compares >= 0.
-    """
+def leaky_relu_backward(positive: np.ndarray, alpha: float, grad_out: np.ndarray) -> np.ndarray:
+    """grad_out times the slope, given the mask ``positive = pre >= 0`` of
+    the pre-activation: 1 where pre >= 0, both signed zeros included, and
+    alpha elsewhere, NaN included.  Take the mask from the pre-activation,
+    not the activation, where alpha * pre can be -0.0, which is >= 0."""
     if positive.shape != grad_out.shape:
         raise ShapeError(f"shape mismatch: mask {positive.shape} vs grad {grad_out.shape}")
     # A two-entry lookup on the mask builds the slope far faster than
@@ -361,11 +354,9 @@ def batchnorm_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the TRAIN-mode map, including the mean/var dependence.
 
-    With dy = grad_out, grad_beta is sum(dy) and grad_gamma is
-    sum(dy * x_hat), per channel, and the input gradient follows from them
-    (Ioffe & Szegedy, arXiv:1502.03167, section 3):
-    gamma * inv_std * (dy - (sum(dy) + x_hat * sum(dy * x_hat)) / count),
-    built in place in the one array that the product dy * x_hat allocates.
+    From grad_beta = sum(dy) and grad_gamma = sum(dy * x_hat) per channel,
+    dx = gamma * inv_std * (dy - (sum(dy) + x_hat * sum(dy * x_hat)) / count)
+    (Ioffe & Szegedy, arXiv:1502.03167), built in the array dy * x_hat makes.
     """
     if cache is None:
         raise ValueError("batchnorm_backward requires a TRAIN-mode cache")

@@ -144,14 +144,12 @@ def network_forward(
 
     In TRAIN mode each layer adds a ``(conv_in, bn_cache, act_in)`` entry
     for ``network_backward``, holding one activation-sized tensor per
-    batch-norm layer and ``None`` wherever backward can recompute instead:
-    a batch-norm layer keeps only its batch-norm cache (with x_hat), a
-    stage's first layer only the one-channel stage input its conv read, and
-    the reconstruction layer nothing.  Backward rebuilds each activated
-    layer's pre-activation once, from this cache, for both the conv input
-    above it and its own leaky-ReLU slope.  ``act_in`` is always ``None``; the
-    slot is kept only because the benchmark's train-cache hook unpacks
-    3-tuples.  INFER mode returns ``None`` caches.
+    batch-norm layer and ``None`` wherever backward rebuilds instead, once
+    per layer: a batch-norm layer keeps only its batch-norm cache (with
+    x_hat), a stage's first layer only the one-channel stage input its conv
+    read, and the reconstruction layer nothing.  ``act_in`` is always
+    ``None``; the slot is kept only because the benchmark's train-cache hook
+    unpacks 3-tuples.  INFER mode returns ``None`` caches.
     """
     if z.ndim != 4 or z.shape[1] != 1:
         raise ShapeError(f"network input must be (N,1,H,W), got {z.shape}")
@@ -179,16 +177,15 @@ def network_backward(
 ) -> dict[str, np.ndarray]:
     """Chain gradients of the noise estimate back through every stage.
 
-    A conv input that the forward pass did not cache, the leaky-ReLU
-    output of the layer below, is rebuilt once, from that layer's
-    pre-activation, which is remade by the calls the forward pass ran on
-    the same operands: the affine map of its x_hat, or its one-channel
-    conv.  So the gradients equal those of a cache of every tensor bit for
-    bit.  The rebuild also keeps ``pre >= 0`` as a one-byte mask until the
-    layer below's leaky-ReLU gradient reads it, so no pre-activation is
-    made twice.  The batch-norm shift and the first layers' filters are
-    read from ``params``, so call this before the parameters are updated.
-    Returns a dict keyed like ``iter_tensors(..., trainable_only=True)``.
+    A conv input that the forward pass did not cache, the leaky-ReLU output
+    of the layer below, is rebuilt once from that layer's pre-activation,
+    remade by the forward pass's own calls on the same operands (the affine
+    map of its x_hat, or its one-channel conv), so the gradients equal those
+    of a cache of every tensor bit for bit.  The rebuild keeps ``pre >= 0``
+    as a one-byte mask for the layer below's leaky-ReLU gradient.  The
+    batch-norm shift and the first layers' filters are read from ``params``,
+    so call this before the parameters are updated.  Returns a dict keyed
+    like ``iter_tensors(..., trainable_only=True)``.
 
     ``caches`` is consumed: each layer pops its entry, and drops its
     batch-norm cache right after the batch-norm gradient, so the list is
@@ -228,9 +225,6 @@ def network_backward(
             grads[f"s{s:02d}.l{d:02d}.bn.gamma"] = g_gamma
             grads[f"s{s:02d}.l{d:02d}.bn.beta"] = g_beta
         if conv_in is None:
-            # Rebuild the layer below's pre-activation by the forward pass's
-            # own calls on the same operands, so it is the forward's bit for
-            # bit: the affine map of its x_hat, or its one-channel conv.
             prev = flat_layers[i - 1][2]
             prev_in, prev_bn, _ = caches[-1]
             if prev_bn is None:
