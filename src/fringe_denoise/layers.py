@@ -13,6 +13,8 @@ rows of one residue modulo k they form a (rows, k*C) matrix that is a plain
 reshaped view of the buffer, with no copy, as in MEC (Cho & Brand,
 arXiv:1706.06873).  The output on the padded grid is then k GEMMs per
 kernel row, each with K = k*C over one residue's rows, cropped at the end.
+Each residue's k products are summed in one contiguous accumulator and
+copied into the residue's strided output rows once.
 The weight gradient and the adjoint (input-gradient) convolution reuse the
 same residue views.
 """
@@ -117,9 +119,10 @@ def _stacked_taps(flat: np.ndarray, shifts: list[int], r: int) -> np.ndarray:
     return cols
 
 
-# Byte budget of one row block of the output.  The product buffer holds one
-# residue's share of a block, 1/k of it.  Above about 4.3 MB every 16-filter
-# shape of the desk net and of 256-square inference stays in one block.
+# Byte budget of one row block of the output.  The product buffer and the
+# accumulator each hold one residue's share of a block, 1/k of it.  Above
+# about 4.3 MB every 16-filter shape of the desk net and of 256-square
+# inference stays in one block.
 PRODUCT_BYTES = 9 << 19  # 4.5 MiB
 
 
@@ -139,11 +142,13 @@ def _shifted_conv(
     Returns an (N, M, H, W) view of the cropped output.  A one-channel input
     folds its k*k taps into a single GEMM.  Otherwise output rows r = rho
     (mod k) take, for each kernel row u, one GEMM of the residue view that
-    starts u*Wp rows after them with the (k*C, M) slab of row u's taps;
-    rows u > 0 pass through one product buffer and are added in.  The output
-    is walked in row blocks, a multiple of k rows long, whose products fit
-    ``PRODUCT_BYTES``.  The buffer is freed on return; the output buffer,
-    padded grid included, lives as long as the returned view.
+    starts u*Wp rows after them with the (k*C, M) slab of row u's taps.
+    The u = 0 product goes into a contiguous accumulator, the later ones
+    into a product buffer that is added to it, and the sum is copied into
+    the residue's strided output rows once.  The output is walked in row
+    blocks, a multiple of k rows long, whose products fit ``PRODUCT_BYTES``.
+    Both buffers are freed on return; the output buffer, padded grid
+    included, lives as long as the returned view.
     """
     k, _, c, m = taps.shape
     r, shifts = _tap_geometry(n, h, w, k)
@@ -155,16 +160,18 @@ def _shifted_conv(
         slabs = taps.reshape(k, k * c, m)
         block = max(k, PRODUCT_BYTES // (m * out.itemsize) // k * k)
         product = np.empty(((min(block, r) + k - 1) // k, m), dtype=rows.dtype)
+        accum = np.empty_like(product)
         for lo in range(0, r, block):
             for rho in range(lo, min(lo + k, r)):
-                acc = out[rho : min(lo + block, r) : k]
-                prod = product[: len(acc)]
+                dst = out[rho : min(lo + block, r) : k]
+                acc, prod = accum[: len(dst)], product[: len(dst)]
                 for u, slab in enumerate(slabs):
-                    view = _residue_view(rows, rho + u * wp, len(acc), k)
+                    view = _residue_view(rows, rho + u * wp, len(dst), k)
                     if u == 0:
                         np.matmul(view, slab, out=acc)
                     else:
                         acc += np.matmul(view, slab, out=prod)
+                dst[...] = acc
     return out.reshape(n, h + k - 1, w + k - 1, m)[:, :h, :w].transpose(0, 3, 1, 2)
 
 

@@ -259,6 +259,9 @@ class TestBlockedTapProducts:
     # blocks.  FWD_PEAK and BWD_PEAK are the bytes conv2d_forward and
     # conv2d_backward allocated at their high-water with one GEMM per tap,
     # rounded up to a KiB (small Python objects move them by tens of bytes).
+    # With each residue summed in a contiguous accumulator beside the
+    # product buffer the traced peaks are 14 199 and 14 999 KiB (k = 3:
+    # 14 699 and 14 772 KiB), one accumulator above the product buffer alone.
     N, C, M, K, H, W = 4, 64, 64, 5, 72, 72
     FWD_PEAK, BWD_PEAK = 16_563 << 10, 17_365 << 10
 
@@ -308,6 +311,45 @@ class TestBlockedTapProductsK3(TestBlockedTapProducts):
     # in two row blocks.
     N, C, M, K, H, W = 2, 32, 32, 3, 150, 150
     FWD_PEAK, BWD_PEAK = 16_199 << 10, 16_272 << 10
+
+
+class TestOneBlockShiftedConv:
+    """At a desk-like shape that fits one row block, the conv output and
+    the input gradient equal ``one_block_shifted_conv`` bit for bit, also
+    with one output channel, where each residue's strided rows are one
+    column."""
+
+    N, H, W, K = 2, 40, 40, 5
+
+    def case(self, m, c):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((self.N, c, self.H, self.W)).astype(np.float32)
+        p = make_conv(rng, m, c, self.K, np.float32)
+        g = rng.standard_normal((self.N, m, self.H, self.W)).astype(np.float32)
+        r, _ = layers._tap_geometry(self.N, self.H, self.W, self.K)
+        assert r * max(m, c) * 4 <= layers.PRODUCT_BYTES  # one block
+        return x, p, g
+
+    @pytest.mark.parametrize("m,c", [(1, 16), (16, 16)])
+    def test_forward_bitwise_equal_to_one_block(self, m, c):
+        x, p, _ = self.case(m, c)
+        rows = layers._padded_rows(x, self.K // 2, np.float32)
+        taps = p.weights.transpose(2, 3, 1, 0)
+        expect = np.add(
+            one_block_shifted_conv(rows, taps, self.N, self.H, self.W),
+            p.bias[None, :, None, None],
+            order="C",
+        )
+        np.testing.assert_array_equal(conv2d_forward(x, p).view(np.uint32), expect.view(np.uint32))
+
+    def test_one_channel_input_gradient_bitwise_equal_to_one_block(self):
+        x, p, g = self.case(16, 1)
+        grad_rows = layers._padded_rows(g, self.K // 2, np.float32)
+        adjoint = p.weights[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+        expect = one_block_shifted_conv(grad_rows, adjoint, self.N, self.H, self.W)
+        gx, _, _ = conv2d_backward(x, p, g)
+        assert gx.shape == (self.N, 1, self.H, self.W)
+        np.testing.assert_array_equal(gx.view(np.uint32), np.ascontiguousarray(expect).view(np.uint32))
 
 
 class TestLeakyRelu:
