@@ -259,9 +259,8 @@ class TestBlockedTapProducts:
     # blocks.  FWD_PEAK and BWD_PEAK are the bytes conv2d_forward and
     # conv2d_backward allocated at their high-water with one GEMM per tap,
     # rounded up to a KiB (small Python objects move them by tens of bytes).
-    # With each residue summed in a contiguous accumulator beside the
-    # product buffer the traced peaks are 14 199 and 14 999 KiB (k = 3:
-    # 14 699 and 14 772 KiB), one accumulator above the product buffer alone.
+    # With the product buffer and the residue accumulator the traced peaks
+    # are 14 199 and 14 999 KiB (k = 3: 14 699 and 14 772 KiB).
     N, C, M, K, H, W = 4, 64, 64, 5, 72, 72
     FWD_PEAK, BWD_PEAK = 16_563 << 10, 17_365 << 10
 

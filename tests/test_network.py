@@ -391,10 +391,10 @@ class TestBackwardMemory:
         # to the conv's (H+4, W+4) grid.  Backward frees each tensor at its
         # last use, so its high-water is a middle conv's adjoint pass: the
         # incoming gradient and the conv input (2A), the padded gradient
-        # rows, the adjoint's output grid and its tap-product buffer (at
-        # most 3P).  On top come every gradient returned, three
-        # weight-sized tap arrays of the conv in flight, and a quarter of an
-        # activation for small objects.  A backward that kept its input
+        # rows, the adjoint's output grid, its tap-product buffer and its
+        # accumulator (at most 3P).  On top come every gradient returned,
+        # three weight-sized tap arrays of the conv in flight, and a quarter
+        # of an activation for small objects.  A backward that kept its input
         # rows through the adjoint, or the pre-activation across the conv,
         # holds one more P or A and exceeds this.
         cfg = NetworkConfig(stages=2, layers_per_stage=4, filters=32)
@@ -423,11 +423,11 @@ class TestBackwardMemory:
         # the cache: at most the whole cache (one activation A per
         # batch-norm layer, the stage inputs and per-channel vectors), the
         # conv's input and its output or incoming gradient (2A), its padded
-        # rows, output grid and tap-product buffer (3P), plus the returned
-        # gradients and A/4 for small objects.  Backward pops each entry as
-        # it passes it, so its convs run beside a shrinking cache.  A
-        # backward that kept the whole cache to its end, or a cache that
-        # held the first layers' pre-activations, exceeds this.
+        # rows, output grid, tap-product buffer and accumulator (3P), plus
+        # the returned gradients and A/4 for small objects.  Backward pops
+        # each entry as it passes it, so its convs run beside a shrinking
+        # cache.  A backward that kept the whole cache to its end, or a
+        # cache that held the first layers' pre-activations, exceeds this.
         cfg = NetworkConfig(stages=2, layers_per_stage=4, filters=32)
         n, h, w, f, k = 4, 48, 48, cfg.filters, cfg.kernel
         params = build_network(cfg, np.random.default_rng(30))
