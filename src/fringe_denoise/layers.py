@@ -13,10 +13,12 @@ rows of one residue modulo k they form a (rows, k*C) matrix that is a plain
 reshaped view of the buffer, with no copy, as in MEC (Cho & Brand,
 arXiv:1706.06873).  The output on the padded grid is then k GEMMs per
 kernel row, each with K = k*C over one residue's rows, cropped at the end.
-Each residue's k products are summed in one contiguous accumulator and
-copied into the residue's strided output rows once.
-The weight gradient and the adjoint (input-gradient) convolution reuse the
-same residue views.
+The grid is channel-major, (M, N*Hp*Wp), so the cropped NCHW result is a
+copy of W-long rows.  Each residue's k products are summed in one
+contiguous accumulator, which is copied into the residue's grid columns
+once, transposed; a one-channel input's single GEMM writes the grid
+directly.  The weight gradient and the adjoint (input-gradient)
+convolution reuse the same residue views.
 """
 
 from __future__ import annotations
@@ -139,22 +141,24 @@ def _shifted_conv(
 ) -> np.ndarray:
     """Bias-free same-padded convolution of padded rows with (k, k, C, M) taps.
 
-    Returns an (N, M, H, W) view of the cropped output.  A one-channel input
-    folds its k*k taps into a single GEMM.  Otherwise output rows r = rho
-    (mod k) take, for each kernel row u, one GEMM of the residue view that
-    starts u*Wp rows after them with the (k*C, M) slab of row u's taps.
-    The u = 0 product goes into a contiguous accumulator, the later ones
-    into a product buffer that is added to it, and the sum is copied into
-    the residue's strided output rows once.  The output is walked in row
-    blocks, a multiple of k rows long, whose products fit ``PRODUCT_BYTES``.
-    Both buffers are freed on return; the output buffer, padded grid
-    included, lives as long as the returned view.
+    The output grid is channel-major, (M, N*Hp*Wp), and the function
+    returns an (N, M, H, W) view of it, cropped, whose W-long rows are
+    contiguous.  A one-channel input folds its k*k taps into a single GEMM,
+    (M, k*k) taps times the (k*k, R) stacked taps, written straight into
+    the grid.  Otherwise output rows r = rho (mod k) take, for each kernel
+    row u, one GEMM of the residue view that starts u*Wp rows after them
+    with the (k*C, M) slab of row u's taps.  The u = 0 product goes into a
+    contiguous accumulator, the later ones into a product buffer that is
+    added to it, and the sum is copied, transposed, into the residue's grid
+    columns once.  The output is walked in row blocks, a multiple of k rows
+    long, whose products fit ``PRODUCT_BYTES``.  Both buffers are freed on
+    return; the grid, padding included, lives as long as the returned view.
     """
     k, _, c, m = taps.shape
     r, shifts = _tap_geometry(n, h, w, k)
-    out = np.empty((n * (h + k - 1) * (w + k - 1), m), dtype=rows.dtype)
+    out = np.empty((m, n * (h + k - 1) * (w + k - 1)), dtype=rows.dtype)
     if c == 1:
-        np.matmul(_stacked_taps(rows[:, 0], shifts, r).T, taps.reshape(k * k, m), out=out[:r])
+        np.matmul(taps.reshape(k * k, m).T, _stacked_taps(rows[:, 0], shifts, r), out=out[:, :r])
     else:
         wp = w + k - 1
         slabs = taps.reshape(k, k * c, m)
@@ -163,16 +167,16 @@ def _shifted_conv(
         accum = np.empty_like(product)
         for lo in range(0, r, block):
             for rho in range(lo, min(lo + k, r)):
-                dst = out[rho : min(lo + block, r) : k]
-                acc, prod = accum[: len(dst)], product[: len(dst)]
+                dst = out[:, rho : min(lo + block, r) : k]
+                acc, prod = accum[: dst.shape[1]], product[: dst.shape[1]]
                 for u, slab in enumerate(slabs):
-                    view = _residue_view(rows, rho + u * wp, len(dst), k)
+                    view = _residue_view(rows, rho + u * wp, len(acc), k)
                     if u == 0:
                         np.matmul(view, slab, out=acc)
                     else:
                         acc += np.matmul(view, slab, out=prod)
-                dst[...] = acc
-    return out.reshape(n, h + k - 1, w + k - 1, m)[:, :h, :w].transpose(0, 3, 1, 2)
+                dst[...] = acc.T
+    return out.reshape(m, n, h + k - 1, w + k - 1)[:, :, :h, :w].transpose(1, 0, 2, 3)
 
 
 def _residue_weight_grad(rows: np.ndarray, g: np.ndarray, k: int, wp: int) -> np.ndarray:

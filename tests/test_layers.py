@@ -351,6 +351,71 @@ class TestOneBlockShiftedConv:
         np.testing.assert_array_equal(gx.view(np.uint32), np.ascontiguousarray(expect).view(np.uint32))
 
 
+def row_major_one_channel_conv(rows, taps, n, h, w):
+    """A one-channel ``_shifted_conv`` on an (N*Hp*Wp, M) row-major grid:
+    the stacked taps transposed times the (k*k, M) taps, cropped."""
+    k, _, _, m = taps.shape
+    r, shifts = layers._tap_geometry(n, h, w, k)
+    out = np.empty((n * (h + k - 1) * (w + k - 1), m), dtype=rows.dtype)
+    np.matmul(layers._stacked_taps(rows[:, 0], shifts, r).T, taps.reshape(k * k, m), out=out[:r])
+    return out.reshape(n, h + k - 1, w + k - 1, m)[:, :h, :w].transpose(0, 3, 1, 2)
+
+
+class TestOneChannelGemmOrientation:
+    """The one-channel GEMM writes the channel-major grid as taps.T @ stacked
+    taps; in float32 that gives the bits of the row-major stacked.T @ taps.
+    Float64 is not pinned: with 64 filters a few outputs per call differ
+    from the row-major form in the last bit."""
+
+    N, H, W, K = 2, 40, 40, 5
+
+    def case(self, m, c):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((self.N, c, self.H, self.W)).astype(np.float32)
+        p = make_conv(rng, m, c, self.K, np.float32)
+        g = rng.standard_normal((self.N, m, self.H, self.W)).astype(np.float32)
+        return x, p, g
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_forward_bitwise_equal_to_row_major(self, m):
+        x, p, _ = self.case(m, 1)
+        rows = layers._padded_rows(x, self.K // 2, np.float32)
+        taps = p.weights.transpose(2, 3, 1, 0)
+        expect = np.add(
+            row_major_one_channel_conv(rows, taps, self.N, self.H, self.W),
+            p.bias[None, :, None, None],
+            order="C",
+        )
+        np.testing.assert_array_equal(conv2d_forward(x, p).view(np.uint32), expect.view(np.uint32))
+
+    def test_input_gradient_bitwise_equal_to_row_major(self):
+        # A 16 -> 1 conv's adjoint is a 1 -> 16 conv.
+        x, p, g = self.case(1, 16)
+        grad_rows = layers._padded_rows(g, self.K // 2, np.float32)
+        adjoint = p.weights[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+        expect = row_major_one_channel_conv(grad_rows, adjoint, self.N, self.H, self.W)
+        gx, _, _ = conv2d_backward(x, p, g)
+        np.testing.assert_array_equal(gx.view(np.uint32), np.ascontiguousarray(expect).view(np.uint32))
+
+
+# (n, c, m, k, h, w): one-channel and 16-channel inputs in one row block, and
+# a 64-filter output that the product budget splits into row blocks.
+OWNERSHIP_CASES = [(2, 1, 16, 5, 40, 40), (2, 16, 16, 5, 40, 40), (2, 4, 64, 3, 96, 96)]
+
+
+@pytest.mark.parametrize("case", OWNERSHIP_CASES)
+def test_conv_results_own_their_data(case):
+    """The forward output and the input gradient are C-contiguous copies, so
+    no caller's reference keeps a conv's padded output grid alive."""
+    x, p, g = conv_case(case, np.float32, 305)
+    n, _, m, k, h, w = case
+    assert (layers._tap_geometry(n, h, w, k)[0] * m * 4 > layers.PRODUCT_BYTES) == (m == 64)
+    out = conv2d_forward(x, p)
+    gx, _, _ = conv2d_backward(x, p, g)
+    for a in (out, gx):
+        assert a.flags.c_contiguous and a.flags.owndata
+
+
 class TestLeakyRelu:
     def test_negative_halved(self):
         assert leaky_relu_forward(np.array([[[[-2.0]]]]), 0.5) == -1.0
