@@ -29,9 +29,6 @@ import numpy as np
 
 from .errors import FringeDenoiseError
 
-TRAIN = "train"
-INFER = "infer"
-
 
 class ShapeError(FringeDenoiseError):
     """Operand shapes are inconsistent with the operation's contract."""
@@ -297,18 +294,11 @@ def leaky_relu_backward(positive: np.ndarray, alpha: float, grad_out: np.ndarray
     return out
 
 
-def batchnorm_forward(
-    x: np.ndarray, params: BatchNormParams, mode: str
-) -> tuple[np.ndarray, tuple | None]:
-    """Per-channel batch normalization over the (batch, H, W) axes.
-
-    Both modes run the same steps, x_hat = (x - mean) / sqrt(var + epsilon)
-    in the one array the subtraction allocates, then ``batchnorm_affine``;
-    they differ only in where (mean, var) come from.  TRAIN mode takes the
-    batch statistics (population variance), updates the running statistics
-    in-place (running variance stores the unbiased estimate), and returns a
-    cache for the backward pass.  INFER mode takes the running statistics
-    and returns no cache.
+def batchnorm_forward(x: np.ndarray, params: BatchNormParams) -> tuple[np.ndarray, tuple]:
+    """Training batch norm per channel over (batch, H, W), from the batch's mean
+    and population variance: x_hat = (x - mean) / sqrt(var + epsilon) in the
+    one array the subtraction allocates, then ``batchnorm_affine``.  Updates
+    the running statistics in place (unbiased variance); returns the cache.
     """
     if x.ndim != 4 or x.shape[1] != params.channels:
         raise ShapeError(
@@ -316,48 +306,50 @@ def batchnorm_forward(
         )
     n, _, h, w = x.shape
     count = n * h * w
-    if mode == TRAIN:
-        if count < 2:
-            raise ValueError(
-                f"TRAIN-mode batchnorm needs at least 2 values per channel, got {count}"
-            )
-        mean = x.mean(axis=(0, 2, 3))
-        # x.var(axis=(0, 2, 3)) from the centred array, bit for bit: the
-        # squares summed from a scratch array, then divided by an intp count
-        # as numpy's own variance divides.  The scratch array is made before
-        # x_hat: made after it, a paper-width training step's peak RSS rose
-        # by about 4 MB (heap placement, not bytes held).
-        scratch = np.empty_like(x)
-        x_hat = np.subtract(x, mean[None, :, None, None])
-        var = np.square(x_hat, out=scratch).sum(axis=(0, 2, 3))
-        del scratch
-        var = np.true_divide(var, np.intp(count), out=var, casting="unsafe")
-        unbiased = var * (count / (count - 1))
-        m = params.momentum
-        for stat, batch in ((params.running_mean, mean), (params.running_var, unbiased)):
-            stat[:] = m * stat + (1.0 - m) * batch.astype(stat.dtype)
-    elif mode == INFER:
-        mean, var = params.running_mean.astype(x.dtype), params.running_var.astype(x.dtype)
-        x_hat = np.subtract(x, mean[None, :, None, None])
-    else:
-        raise ValueError(f"mode must be {TRAIN!r} or {INFER!r}, got {mode!r}")
+    if count < 2:
+        raise ValueError(f"batchnorm needs at least 2 values per channel, got {count}")
+    mean = x.mean(axis=(0, 2, 3))
+    # x.var(axis=(0, 2, 3)) from the centred array, bit for bit: the
+    # squares summed from a scratch array, then divided by an intp count
+    # as numpy's own variance divides.  The scratch array is made before
+    # x_hat: made after it, a paper-width training step's peak RSS rose
+    # by about 4 MB (heap placement, not bytes held).
+    scratch = np.empty_like(x)
+    x_hat = np.subtract(x, mean[None, :, None, None])
+    var = np.square(x_hat, out=scratch).sum(axis=(0, 2, 3))
+    del scratch
+    var = np.true_divide(var, np.intp(count), out=var, casting="unsafe")
+    unbiased = var * (count / (count - 1))
+    m = params.momentum
+    for stat, batch in ((params.running_mean, mean), (params.running_var, unbiased)):
+        stat[:] = m * stat + (1.0 - m) * batch.astype(stat.dtype)
     inv_std = 1.0 / np.sqrt(var + x.dtype.type(params.epsilon))
     x_hat *= inv_std[None, :, None, None]
     gamma = params.gamma.astype(x.dtype)
     out = batchnorm_affine(x_hat, gamma, params.beta.astype(x.dtype))
-    return out, (x_hat, inv_std, gamma, count) if mode == TRAIN else None
+    return out, (x_hat, inv_std, gamma, count)
 
 
 def batchnorm_affine(x_hat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """The batch-norm output gamma * x_hat + beta, per channel, in a new array.
-
-    Both forward modes end here, and the network's backward pass rebuilds
-    the TRAIN output from the cached x_hat through it too, so the two agree
-    bit for bit.
+    ``batchnorm_forward`` and the network's backward rebuild of its output
+    from the cached x_hat both end here, so the two agree bit for bit.
     """
     out = gamma[None, :, None, None] * x_hat
     out += beta[None, :, None, None]
     return out
+
+
+def fold_batchnorm(conv: ConvParams, bn: BatchNormParams, dtype) -> ConvParams:
+    """``conv`` then inference batch norm, as one new conv computed in ``dtype``:
+    with s = gamma / sqrt(running_var + epsilon) per channel, weights s*w and
+    bias s*(b - running_mean) + beta (Jacob et al., arXiv:1712.05877, §3.2).
+    ``conv`` and ``bn`` are only read, so training can go on after an eval.
+    """
+    mean, beta = bn.running_mean.astype(dtype), bn.beta.astype(dtype)
+    scale = bn.gamma.astype(dtype) / np.sqrt(bn.running_var.astype(dtype) + bn.epsilon)
+    weights = conv.weights.astype(dtype, copy=False) * scale[:, None, None, None]
+    return ConvParams(weights, scale * (conv.bias.astype(dtype) - mean) + beta)
 
 
 def batchnorm_backward(

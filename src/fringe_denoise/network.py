@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import check_fields
 from .layers import (
-    INFER,
-    TRAIN,
     BatchNormParams,
     ConvParams,
     ShapeError,
@@ -28,10 +26,14 @@ from .layers import (
     batchnorm_forward,
     conv2d_backward,
     conv2d_forward,
+    fold_batchnorm,
     he_init,
     leaky_relu_backward,
     leaky_relu_forward,
 )
+
+TRAIN = "train"
+INFER = "infer"
 
 
 @dataclass(frozen=True)
@@ -142,15 +144,17 @@ def network_forward(
 ) -> tuple[np.ndarray, list | None]:
     """Run all stages on a single-channel batch; returns the noise estimate.
 
-    In TRAIN mode each layer adds a ``(conv_in, bn_cache, act_in)`` entry
-    for ``network_backward``, holding one activation-sized tensor per
-    batch-norm layer and ``None`` wherever backward rebuilds instead, once
-    per layer: a batch-norm layer keeps only its batch-norm cache (with
-    x_hat), a stage's first layer only the one-channel stage input its conv
-    read, and the reconstruction layer nothing.  ``act_in`` is always
-    ``None``; the slot is kept only because the benchmark's train-cache hook
-    unpacks 3-tuples.  INFER mode returns ``None`` caches.
+    TRAIN mode also returns one ``(conv_in, bn_cache, act_in)`` entry per
+    layer for ``network_backward``, with ``None`` wherever backward rebuilds
+    instead: a batch-norm layer keeps its batch-norm cache (with x_hat), a
+    stage's first layer the one-channel input its conv read, and the
+    reconstruction layer nothing.  ``act_in`` is always ``None``; the slot
+    is kept only because the benchmark's train-cache hook unpacks 3-tuples.
+    INFER mode returns ``None`` caches and runs each conv and its batch norm
+    as one conv that ``fold_batchnorm`` makes per layer, in the working dtype.
     """
+    if mode not in (TRAIN, INFER):
+        raise ValueError(f"mode must be {TRAIN!r} or {INFER!r}, got {mode!r}")
     if z.ndim != 4 or z.shape[1] != 1:
         raise ShapeError(f"network input must be (N,1,H,W), got {z.shape}")
     caches: list | None = [] if mode == TRAIN else None
@@ -158,10 +162,12 @@ def network_forward(
     x_is_activation = False  # x is the leaky ReLU output of the layer before
     for stage in params.layers:
         for layer in stage:
-            pre = conv2d_forward(x, layer.conv)
-            bn_cache = None
-            if layer.bn is not None:
-                pre, bn_cache = batchnorm_forward(pre, layer.bn, mode)
+            conv, bn_cache = layer.conv, None
+            if layer.bn is not None and caches is None:
+                conv = fold_batchnorm(conv, layer.bn, np.result_type(x, conv.weights))
+            pre = conv2d_forward(x, conv)
+            if layer.bn is not None and caches is not None:
+                pre, bn_cache = batchnorm_forward(pre, layer.bn)
             if caches is not None:
                 caches.append((None if x_is_activation else x, bn_cache, None))
             x_is_activation = layer.alpha is not None

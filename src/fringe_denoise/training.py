@@ -17,8 +17,10 @@ import numpy as np
 
 from .dataset import DatasetError
 from .errors import FringeDenoiseError, check_fields
-from .layers import TRAIN, INFER, ShapeError
+from .layers import ShapeError
 from .network import (
+    INFER,
+    TRAIN,
     NetworkConfig,
     NetworkParams,
     build_network,

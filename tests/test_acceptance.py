@@ -20,8 +20,9 @@ from fringe_denoise.cli import cli_dispatch
 from fringe_denoise.config import SimulateConfig
 from fringe_denoise.corpus import generate_pair
 from fringe_denoise.dataset import build_dataset
-from fringe_denoise.layers import TRAIN, ConvParams, conv2d_backward, conv2d_forward
+from fringe_denoise.layers import ConvParams, conv2d_backward, conv2d_forward
 from fringe_denoise.network import (
+    TRAIN,
     NetworkConfig,
     build_network,
     denoise,

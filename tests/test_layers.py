@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from fringe_denoise import layers
 from fringe_denoise.layers import (
-    INFER,
-    TRAIN,
     BatchNormParams,
     ConvParams,
     ShapeError,
-    batchnorm_affine,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
     conv2d_forward,
+    fold_batchnorm,
     he_init,
     leaky_relu_backward,
     leaky_relu_forward,
@@ -517,7 +515,7 @@ class TestLeakyRelu:
 class TestBatchNormForward:
     def test_standardizes_two_values(self):
         x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1)
-        out, _ = batchnorm_forward(x, make_bn(1), TRAIN)
+        out, _ = batchnorm_forward(x, make_bn(1))
         np.testing.assert_allclose(out.ravel(), [-1.0, 1.0], atol=1e-4)
 
     def test_scale_and_shift(self):
@@ -526,22 +524,14 @@ class TestBatchNormForward:
         bn = make_bn(2)
         bn.gamma[:] = 2.0
         bn.beta[:] = 5.0
-        out, _ = batchnorm_forward(x, bn, TRAIN)
+        out, _ = batchnorm_forward(x, bn)
         np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), [5.0, 5.0], atol=1e-10)
         np.testing.assert_allclose(out.std(axis=(0, 2, 3)), [2.0, 2.0], atol=1e-3)
-
-    def test_infer_with_unit_stats_is_identity(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, 3, 4, 4))
-        out, cache = batchnorm_forward(x, make_bn(3), INFER)
-        assert cache is None
-        # 1/sqrt(1 + eps) deviates from 1 by eps/2
-        np.testing.assert_allclose(out, x, rtol=1e-5, atol=1e-12)
 
     def test_train_statistics_are_standardized(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((8, 4, 10, 10)) * 7 + 3
-        out, _ = batchnorm_forward(x, make_bn(4), TRAIN)
+        out, _ = batchnorm_forward(x, make_bn(4))
         mu = out.mean(axis=(0, 2, 3))
         var = out.var(axis=(0, 2, 3))
         assert np.abs(mu).max() < 1e-6
@@ -551,31 +541,12 @@ class TestBatchNormForward:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, 1, 3, 3)) * 2 + 1
         bn = make_bn(1)
-        batchnorm_forward(x, bn, TRAIN)
+        batchnorm_forward(x, bn)
         count = x.size
         expected_mean = 0.9 * 0.0 + 0.1 * x.mean()
         expected_var = 0.9 * 1.0 + 0.1 * x.var() * count / (count - 1)
         np.testing.assert_allclose(bn.running_mean, [expected_mean], rtol=1e-12)
         np.testing.assert_allclose(bn.running_var, [expected_var], rtol=1e-12)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_infer_is_the_affine_map_of_the_running_x_hat(self, dtype):
-        """INFER normalizes as TRAIN does, with the running statistics in
-        place of the batch's, and ends in ``batchnorm_affine``: bit for bit."""
-        rng = np.random.default_rng(15)
-        x = (rng.standard_normal((3, 4, 9, 7)) * 20 + 5).astype(dtype)
-        bn = make_bn(4, dtype)
-        bn.gamma[:] = rng.uniform(0.3, 2.0, 4)
-        bn.beta[:] = rng.standard_normal(4) * 3
-        bn.running_mean[:] = rng.standard_normal(4) * 4
-        bn.running_var[:] = rng.uniform(0.5, 400.0, 4)
-        inv_std = 1.0 / np.sqrt(bn.running_var + dtype(bn.epsilon))
-        x_hat = (x - bn.running_mean[None, :, None, None]) * inv_std[None, :, None, None]
-        expect = batchnorm_affine(x_hat, bn.gamma, bn.beta)
-        out, cache = batchnorm_forward(x, bn, INFER)
-        assert cache is None and out.dtype == dtype
-        bits = np.uint32 if dtype == np.float32 else np.uint64
-        np.testing.assert_array_equal(out.view(bits), expect.view(bits))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_variance_bitwise_equal_to_numpy_var(self, dtype):
@@ -587,7 +558,7 @@ class TestBatchNormForward:
         x = (rng.standard_normal((6, 32, 13, 11)) * scale + 3 * scale).astype(dtype)
         bn = make_bn(32, dtype)
         bn.momentum = 0.0
-        _, (_, inv_std, _, count) = batchnorm_forward(x, bn, TRAIN)
+        _, (_, inv_std, _, count) = batchnorm_forward(x, bn)
         var = x.var(axis=(0, 2, 3))
         bits = np.uint32 if dtype == np.float32 else np.uint64
         expect = 1.0 / np.sqrt(var + dtype(bn.epsilon))
@@ -601,19 +572,66 @@ class TestBatchNormForward:
         # of an activation of 1 MiB is left for numpy's ufunc buffers (64 KiB
         # per broadcast operand) and the per-channel vectors.
         x = np.random.default_rng(16).standard_normal((8, 16, 32, 32))
-        peak = traced_peak(batchnorm_forward, x, make_bn(16), TRAIN)
+        peak = traced_peak(batchnorm_forward, x, make_bn(16))
         assert peak <= 2.25 * x.nbytes, f"peak {peak / x.nbytes:.2f} activations"
 
     def test_single_element_statistics_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            batchnorm_forward(np.zeros((1, 2, 1, 1)), make_bn(2), TRAIN)
+            batchnorm_forward(np.zeros((1, 2, 1, 1)), make_bn(2))
+
+
+def infer_batchnorm_oracle(x, conv, bn):
+    """``naive_conv2d`` then inference batch norm, as written in the
+    definition, (y - running_mean) / sqrt(running_var + epsilon) * gamma
+    + beta, all in float64."""
+    mean, var, gamma, beta = (
+        np.asarray(a, np.float64)[None, :, None, None]
+        for a in (bn.running_mean, bn.running_var, bn.gamma, bn.beta)
+    )
+    y = naive_conv2d(x.astype(np.float64), conv.weights.astype(np.float64), conv.bias)
+    return (y - mean) / np.sqrt(var + bn.epsilon) * gamma + beta
+
+
+class TestFoldBatchNorm:
+    def test_unit_stats_fold_to_the_conv_itself(self):
+        """Unit statistics, gamma = 1 and beta = 0 make batch norm the
+        identity up to 1/sqrt(1 + epsilon), and the fold keeps just that."""
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, 3, 6, 5))
+        conv, bn = make_conv(rng, 3, 3, 3), make_bn(3)
+        out = conv2d_forward(x, fold_batchnorm(conv, bn, np.float64))
+        assert rel_err(out, infer_batchnorm_oracle(x, conv, bn)) < 1e-12
+        # 1/sqrt(1 + eps) deviates from 1 by eps/2
+        np.testing.assert_allclose(out, conv2d_forward(x, conv), rtol=1e-5, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_folded_conv_is_conv_then_infer_batchnorm(self, dtype):
+        rng = np.random.default_rng(15)
+        x = (rng.standard_normal((3, 4, 9, 7)) * 20 + 5).astype(dtype)
+        conv, bn = make_conv(rng, 4, 4, 3, dtype), make_bn(4, dtype)
+        bn.gamma[:] = rng.uniform(0.3, 2.0, 4)
+        bn.beta[:] = rng.standard_normal(4) * 3
+        bn.running_mean[:] = rng.standard_normal(4) * 4
+        bn.running_var[:] = rng.uniform(0.5, 400.0, 4)
+        before = [a.copy() for a in (conv.weights, conv.bias, *vars(bn).values())]
+        folded = fold_batchnorm(conv, bn, dtype)
+        assert folded.weights.dtype == folded.bias.dtype == dtype
+        out = conv2d_forward(x, folded)
+        # float32: the conv's own rounding, which its oracle test bounds by
+        # 1e-5 (CONV_TOL), plus one rounding of each folded weight and bias,
+        # about 6e-8 relative each.
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        assert rel_err(out, infer_batchnorm_oracle(x, conv, bn)) < tol
+        after = (conv.weights, conv.bias, *vars(bn).values())
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestBatchNormBackward:
     def test_zero_grad_out(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 2, 4, 4))
-        _, cache = batchnorm_forward(x, make_bn(2), TRAIN)
+        _, cache = batchnorm_forward(x, make_bn(2))
         gx, gg, gb = batchnorm_backward(cache, np.zeros_like(x))
         assert not gx.any() and not gg.any() and not gb.any()
 
@@ -621,7 +639,7 @@ class TestBatchNormBackward:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 2, 4, 4))
         g = rng.standard_normal(x.shape)
-        _, cache = batchnorm_forward(x, make_bn(2), TRAIN)
+        _, cache = batchnorm_forward(x, make_bn(2))
         _, _, gb = batchnorm_backward(cache, g)
         np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
 
@@ -637,7 +655,7 @@ class TestBatchNormBackward:
             bn = make_bn(2)
             bn.gamma[:] = ga
             bn.beta[:] = ba
-            out, cache = batchnorm_forward(xa, bn, TRAIN)
+            out, cache = batchnorm_forward(xa, bn)
             return out, cache
 
         out, cache = forward(x, gamma, beta)
@@ -670,7 +688,7 @@ class TestBatchNormBackward:
         x = (rng.standard_normal((4, 3, 6, 5)) * 30 + 7).astype(x_dtype)
         bn = make_bn(3, x_dtype)
         bn.gamma[:] = rng.uniform(0.5, 1.5, 3)
-        _, cache = batchnorm_forward(x, bn, TRAIN)
+        _, cache = batchnorm_forward(x, bn)
         g = rng.standard_normal(x.shape).astype(g_dtype)
         g_before = g.copy()
         for out, expect in zip(batchnorm_backward(cache, g), expression(cache, g)):
@@ -688,7 +706,7 @@ class TestBatchNormBackward:
         # an activation of 1 MiB is left for numpy's ufunc buffers and the
         # per-channel vectors.
         x = np.random.default_rng(18).standard_normal((8, 16, 32, 32))
-        _, cache = batchnorm_forward(x, make_bn(16), TRAIN)
+        _, cache = batchnorm_forward(x, make_bn(16))
         g = np.random.default_rng(19).standard_normal(x.shape)
         peak = traced_peak(batchnorm_backward, cache, g)
         assert peak <= 1.25 * x.nbytes, f"peak {peak / x.nbytes:.2f} activations"

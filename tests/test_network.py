@@ -5,8 +5,6 @@ import pytest
 
 from fringe_denoise import network
 from fringe_denoise.layers import (
-    INFER,
-    TRAIN,
     ShapeError,
     batchnorm_backward,
     batchnorm_forward,
@@ -16,6 +14,8 @@ from fringe_denoise.layers import (
     leaky_relu_forward,
 )
 from fringe_denoise.network import (
+    INFER,
+    TRAIN,
     NetworkConfig,
     build_network,
     denoise,
@@ -23,9 +23,9 @@ from fringe_denoise.network import (
     network_backward,
     network_forward,
 )
-from fringe_denoise.training import euclid_loss
+from fringe_denoise.training import euclid_loss, evaluate_patches
 
-from oracles import finite_diff_grad, grads_close
+from oracles import finite_diff_grad, grads_close, rel_err
 
 
 def zero_weights(params):
@@ -39,6 +39,21 @@ def zero_weights(params):
 
 def build_f64(config, seed=0):
     return build_network(config, np.random.default_rng(seed), dtype=np.float64)
+
+
+def with_statistics(params, seed=34):
+    """Give every batch norm a scale, shift and running statistics away
+    from their initial 1, 0, 0 and 1."""
+    rng = np.random.default_rng(seed)
+    for stage in params.layers:
+        for layer in stage:
+            if layer.bn is not None:
+                c = layer.bn.channels
+                layer.bn.gamma[:] = rng.uniform(0.5, 1.5, c)
+                layer.bn.beta[:] = rng.standard_normal(c)
+                layer.bn.running_mean[:] = rng.standard_normal(c)
+                layer.bn.running_var[:] = rng.uniform(0.2, 5.0, c)
+    return params
 
 
 class TestBuild:
@@ -165,6 +180,46 @@ class TestForward:
         assert not diff[outside].any()
         assert diff[16, 16] != 0
 
+    def test_unknown_mode_rejected_before_any_conv(self, monkeypatch):
+        cfg = NetworkConfig(stages=1, layers_per_stage=3, filters=2)
+        params = build_f64(cfg)
+        calls = []
+        monkeypatch.setattr(network, "conv2d_forward", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="mode must be"):
+            network_forward(np.zeros((1, 1, 8, 8)), params, cfg, mode="Infer")
+        assert calls == []
+
+    def test_infer_folds_in_the_input_dtype(self):
+        """Float32 parameters on a float64 input give the forward of their
+        float64 copies: batch norm is folded in float64, not in float32."""
+        cfg = NetworkConfig(stages=2, layers_per_stage=4, filters=3, kernel=3)
+        params32 = with_statistics(build_network(cfg, np.random.default_rng(30)))
+        params64 = build_f64(cfg)
+        for (_, a64), (_, a32) in zip(iter_tensors(params64), iter_tensors(params32)):
+            a64[:] = a32
+        z = np.random.default_rng(31).standard_normal((2, 1, 12, 12)) * 50
+        v32, _ = network_forward(z, params32, cfg, mode=INFER)
+        v64, _ = network_forward(z, params64, cfg, mode=INFER)
+        assert v32.dtype == np.float64
+        assert rel_err(v32, v64) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inference_leaves_parameters_unchanged(self, dtype):
+        cfg = NetworkConfig(stages=2, layers_per_stage=4, filters=3, kernel=3)
+        params = with_statistics(build_network(cfg, np.random.default_rng(32), dtype=dtype))
+        before = [(path, a.copy()) for path, a in iter_tensors(params)]
+        rng = np.random.default_rng(33)
+        z = rng.standard_normal((2, 1, 12, 12))
+        patches = [tuple(rng.uniform(0, 255, (2, 16, 16))) for _ in range(3)]
+        network_forward(z, params, cfg, mode=INFER)
+        evaluate_patches(patches, np.arange(3), params, cfg, batch_size=2)
+        denoise(rng.standard_normal((20, 18)), params, cfg)
+        after = list(iter_tensors(params))
+        assert [path for path, _ in after] == [path for path, _ in before]
+        for (path, a), (_, b) in zip(before, after):
+            assert a.dtype == b.dtype, path
+            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8), err_msg=path)
+
 
 class TestBackward:
     def test_zero_grad_v(self):
@@ -256,7 +311,7 @@ def three_tensor_grads(z, grad_v, params):
             pre = conv2d_forward(x, layer.conv)
             bn_cache = None
             if layer.bn is not None:
-                pre, bn_cache = batchnorm_forward(pre, layer.bn, TRAIN)
+                pre, bn_cache = batchnorm_forward(pre, layer.bn)
             x = pre if layer.alpha is None else leaky_relu_forward(pre, layer.alpha)
             tape.append((f"s{s:02d}.l{d:02d}", layer, conv_in, bn_cache, pre))
     grads = {}

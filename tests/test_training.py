@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from fringe_denoise.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from fringe_denoise.dataset import DatasetError, build_dataset
-from fringe_denoise.layers import TRAIN
 from fringe_denoise.network import (
+    TRAIN,
     NetworkConfig,
     build_network,
     iter_tensors,
