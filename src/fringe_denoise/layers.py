@@ -5,15 +5,18 @@ height, width).  Convolutions are stride-1 with zero same-padding, so
 spatial dimensions are preserved through every layer.
 
 A convolution copies its input once, zero-padded and channels-last, into
-an (N*Hp*Wp, C) row matrix.  Filter tap (u, v) then reads the row that
-lies u*Wp + v rows after the output's, as in the low-memory GEMM
-convolution of Anderson et al. (arXiv:1709.03395).  The k taps of kernel
-row u read k consecutive rows, k*C contiguous values, so for the output
-rows of one residue modulo k they form a (rows, k*C) matrix that is a plain
-reshaped view of the buffer, with no copy, as in MEC (Cho & Brand,
-arXiv:1706.06873).  The output on the padded grid is then k GEMMs per
-kernel row, each with K = k*C over one residue's rows, cropped at the end.
-The grid is channel-major, (M, N*Hp*Wp), so the cropped NCHW result is a
+a row matrix whose image rows lie end to end at stride Wq = W + p, with
+samples at stride Hq = H + p image rows: the p zeros that end one row are
+the left border of the next, and p zero rows between samples serve both.
+Filter tap (u, v) then reads the row that lies u*Wq + v rows after the
+output's, as in the low-memory GEMM convolution of Anderson et al.
+(arXiv:1709.03395).  The k taps of kernel row u read k consecutive rows,
+k*C contiguous values, so for the output rows of one residue modulo k they
+form a (rows, k*C) matrix that is a plain reshaped view of the buffer, with
+no copy, as in MEC (Cho & Brand, arXiv:1706.06873).  The output on the
+padded grid is then k GEMMs per kernel row, each with K = k*C over one
+residue's rows, cropped at the end.
+The grid is channel-major, (M, N*Hq*Wq), so the cropped NCHW result is a
 copy of W-long rows.  Each residue's k products are summed in one
 contiguous accumulator, which is copied into the residue's grid columns
 once, transposed; a one-channel input's single GEMM writes the grid
@@ -86,28 +89,45 @@ class BatchNormParams:
         return self.gamma.shape[0]
 
 
-def _padded_rows(x: np.ndarray, p: int, dtype) -> np.ndarray:
-    """Zero-pad (N, C, H, W) by ``p`` on every side into channels-last rows.
+def _strides(h: int, w: int, p: int) -> tuple[int, int]:
+    """Row strides (Hq, Wq) = (H + p, W + p) of padded rows with border p.
 
-    Row ``(b*Hp + y)*Wp + x`` of the (N*Hp*Wp, C) result holds the channels
-    of padded pixel (y, x) of sample b, where Hp = H + 2p and Wp = W + 2p.
+    This is the one place the layout is spelled: ``_padded_rows``, the tap
+    offsets, the output grid and its crop all read it from here.
+    """
+    return h + p, w + p
+
+
+def _padded_rows(x: np.ndarray, p: int, dtype) -> np.ndarray:
+    """Zero-pad (N, C, H, W) by ``p`` into channels-last rows, one shared
+    border between rows and between samples.
+
+    The (p + Wq*(p + N*Hq), C) result holds p zero rows, then p zero image
+    rows, then per sample H image rows of (W pixels, p zeros) followed by p
+    zero image rows.  Pixel (y, x) of sample b is row
+    p + p*Wq + (b*Hq + y)*Wq + x.  A row's trailing zeros are the next
+    row's left border and a sample's trailing zero rows the next sample's
+    top border.  (Hq, Wq) come from ``_strides``.
     """
     n, c, h, w = x.shape
-    rows = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dtype)
-    rows[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
-    return rows.reshape(-1, c)
+    hq, wq = _strides(h, w, p)
+    rows = np.zeros((p + wq * (p + n * hq), c), dtype=dtype)
+    rows[p + p * wq :].reshape(n, hq, wq, c)[:, :h, :w] = x.transpose(0, 2, 3, 1)
+    return rows
 
 
 def _tap_geometry(n: int, h: int, w: int, k: int) -> tuple[int, list[int]]:
     """Output-grid row count R and the row offset of each tap (u, v).
 
-    Output row r sits at padded pixel (y, x) and tap (u, v) reads input row
-    r + u*Wp + v.  R stops where the last tap would leave the buffer, which
-    is just past the last in-image output pixel.
+    Output row r = (b*Hq + y)*Wq + x sits at pixel (y, x) of sample b, and
+    tap (u, v) reads input row r + u*Wq + v, which holds pixel
+    (y + u - p, x + v - p) or a zero.  R = N*Hq*Wq - p*Wq - p stops where
+    the last tap would leave the buffer, just past the last pixel.
     """
-    wp = w + k - 1
-    r = n * (h + k - 1) * wp - (k - 1) * (wp + 1)
-    return r, [u * wp + v for u in range(k) for v in range(k)]
+    p = k // 2
+    hq, wq = _strides(h, w, p)
+    r = n * hq * wq - p * (wq + 1)
+    return r, [u * wq + v for u in range(k) for v in range(k)]
 
 
 def _stacked_taps(flat: np.ndarray, shifts: list[int], r: int) -> np.ndarray:
@@ -120,7 +140,7 @@ def _stacked_taps(flat: np.ndarray, shifts: list[int], r: int) -> np.ndarray:
 
 # Byte budget of one row block of the output.  The product buffer and the
 # accumulator each hold one residue's share of a block, 1/k of it.  Above
-# about 4.3 MB every 16-filter shape of the desk net and of 256-square
+# about 4.2 MB every 16-filter shape of the desk net and of 256-square
 # inference stays in one block.
 PRODUCT_BYTES = 9 << 19  # 4.5 MiB
 
@@ -138,12 +158,12 @@ def _shifted_conv(
 ) -> np.ndarray:
     """Bias-free same-padded convolution of padded rows with (k, k, C, M) taps.
 
-    The output grid is channel-major, (M, N*Hp*Wp), and the function
+    The output grid is channel-major, (M, N*Hq*Wq), and the function
     returns an (N, M, H, W) view of it, cropped, whose W-long rows are
     contiguous.  A one-channel input folds its k*k taps into a single GEMM,
     (M, k*k) taps times the (k*k, R) stacked taps, written straight into
     the grid.  Otherwise output rows r = rho (mod k) take, for each kernel
-    row u, one GEMM of the residue view that starts u*Wp rows after them
+    row u, one GEMM of the residue view that starts u*Wq rows after them
     with the (k*C, M) slab of row u's taps.  The u = 0 product goes into a
     contiguous accumulator, the later ones into a product buffer that is
     added to it, and the sum is copied, transposed, into the residue's grid
@@ -153,11 +173,11 @@ def _shifted_conv(
     """
     k, _, c, m = taps.shape
     r, shifts = _tap_geometry(n, h, w, k)
-    out = np.empty((m, n * (h + k - 1) * (w + k - 1)), dtype=rows.dtype)
+    hq, wq = _strides(h, w, k // 2)
+    out = np.empty((m, n * hq * wq), dtype=rows.dtype)
     if c == 1:
         np.matmul(taps.reshape(k * k, m).T, _stacked_taps(rows[:, 0], shifts, r), out=out[:, :r])
     else:
-        wp = w + k - 1
         slabs = taps.reshape(k, k * c, m)
         block = max(k, PRODUCT_BYTES // (m * out.itemsize) // k * k)
         product = np.empty(((min(block, r) + k - 1) // k, m), dtype=rows.dtype)
@@ -167,26 +187,26 @@ def _shifted_conv(
                 dst = out[:, rho : min(lo + block, r) : k]
                 acc, prod = accum[: dst.shape[1]], product[: dst.shape[1]]
                 for u, slab in enumerate(slabs):
-                    view = _residue_view(rows, rho + u * wp, len(acc), k)
+                    view = _residue_view(rows, rho + u * wq, len(acc), k)
                     if u == 0:
                         np.matmul(view, slab, out=acc)
                     else:
                         acc += np.matmul(view, slab, out=prod)
                 dst[...] = acc.T
-    return out.reshape(m, n, h + k - 1, w + k - 1)[:, :, :h, :w].transpose(1, 0, 2, 3)
+    return out.reshape(m, n, hq, wq)[:, :, :h, :w].transpose(1, 0, 2, 3)
 
 
-def _residue_weight_grad(rows: np.ndarray, g: np.ndarray, k: int, wp: int) -> np.ndarray:
+def _residue_weight_grad(rows: np.ndarray, g: np.ndarray, k: int, wq: int) -> np.ndarray:
     """(k, k*C, M) weight gradient of padded rows against output-grid rows g.
 
     Kernel row u's slab sums, over the residues rho, the transposed residue
-    view that starts at row rho + u*Wp times g[rho::k].
+    view that starts at row rho + u*Wq times g[rho::k].
     """
     grad_taps = np.zeros((k, k * rows.shape[1], g.shape[1]), dtype=g.dtype)
     for u, slab in enumerate(grad_taps):
         for rho in range(min(k, len(g))):
             g_rho = g[rho::k]
-            slab += _residue_view(rows, rho + u * wp, len(g_rho), k).T @ g_rho
+            slab += _residue_view(rows, rho + u * wq, len(g_rho), k).T @ g_rho
     return grad_taps
 
 
@@ -247,14 +267,15 @@ def conv2d_backward(
     rows = _padded_rows(x, p, dtype)
     grad_rows = _padded_rows(grad_out, p, dtype)
     r, shifts = _tap_geometry(n, h, w, k)
-    # Centred padding puts output row r at grad row r + p*Wp + p; rows off
-    # the image land in the zero border.
-    start = p * (w + 2 * p) + p
+    _, wq = _strides(h, w, p)
+    # Output row r sits at grad row r + p*Wq + p; rows off the image land
+    # in the zero border.
+    start = p * wq + p
     g = grad_rows[start : start + r]
     if c == 1:
         grad_taps = _stacked_taps(rows[:, 0], shifts, r) @ g
     else:
-        grad_taps = _residue_weight_grad(rows, g, k, w + 2 * p)
+        grad_taps = _residue_weight_grad(rows, g, k, wq)
     del rows, g
     grad_w = np.ascontiguousarray(grad_taps.reshape(k, k, c, m).transpose(3, 2, 0, 1))
     grad_x = None
@@ -361,8 +382,6 @@ def batchnorm_backward(
     dx = gamma * inv_std * (dy - (sum(dy) + x_hat * sum(dy * x_hat)) / count)
     (Ioffe & Szegedy, arXiv:1502.03167), built in the array dy * x_hat makes.
     """
-    if cache is None:
-        raise ValueError("batchnorm_backward requires a TRAIN-mode cache")
     x_hat, inv_std, gamma, count = cache
     grad_beta = grad_out.sum(axis=(0, 2, 3))
     g = grad_out * x_hat
