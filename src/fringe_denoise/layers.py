@@ -5,22 +5,20 @@ height, width).  Convolutions are stride-1 with zero same-padding, so
 spatial dimensions are preserved through every layer.
 
 A convolution copies its input once, zero-padded and channels-last, into
-a row matrix whose image rows lie end to end at stride Wq = W + p, with
-samples at stride Hq = H + p image rows: the p zeros that end one row are
-the left border of the next, and p zero rows between samples serve both.
-Filter tap (u, v) then reads the row that lies u*Wq + v rows after the
-output's, as in the low-memory GEMM convolution of Anderson et al.
-(arXiv:1709.03395).  The k taps of kernel row u read k consecutive rows,
-k*C contiguous values, so for the output rows of one residue modulo k they
-form a (rows, k*C) matrix that is a plain reshaped view of the buffer, with
-no copy, as in MEC (Cho & Brand, arXiv:1706.06873).  The output on the
-padded grid is then k GEMMs per kernel row, each with K = k*C over one
-residue's rows, cropped at the end.
-The grid is channel-major, (M, N*Hq*Wq), so the cropped NCHW result is a
-copy of W-long rows.  Each residue's k products are summed in one
-contiguous accumulator, which is copied into the residue's grid columns
-once, transposed; a one-channel input's single GEMM writes the grid
-directly.  The weight gradient and the adjoint (input-gradient)
+rows that lie end to end, Wq = W + p to an image row and Hq = H + p image
+rows to a sample, so one zero border of p serves both neighbours.  Filter
+tap (u, v) then reads the row that lies u*Wq + v rows after the output's,
+as in the low-memory GEMM convolution of Anderson et al.
+(arXiv:1709.03395).  The k taps of kernel row u read k consecutive rows, k*C
+contiguous values, so for the output rows of one residue modulo k they form
+a (rows, k*C) matrix that is a plain reshaped view of the buffer, with no
+copy, as in MEC (Cho & Brand, arXiv:1706.06873).  The output on the padded
+grid is then k GEMMs per kernel row, each with K = k*C over one residue's
+rows, cropped at the end.  The grid is channel-major, (M, N*Hq*Wq), so the
+cropped NCHW result is a copy of W-long rows.  Each residue's k products are
+summed in one contiguous accumulator, which is copied into the residue's
+grid columns once, transposed; a one-channel input's single GEMM writes the
+grid directly.  The weight gradient and the adjoint (input-gradient)
 convolution reuse the same residue views.
 """
 
@@ -90,24 +88,15 @@ class BatchNormParams:
 
 
 def _strides(h: int, w: int, p: int) -> tuple[int, int]:
-    """Row strides (Hq, Wq) = (H + p, W + p) of padded rows with border p.
-
-    This is the one place the layout is spelled: ``_padded_rows``, the tap
-    offsets, the output grid and its crop all read it from here.
-    """
+    """Strides (Hq, Wq) = (H + p, W + p) of the rows ``_padded_rows`` makes."""
     return h + p, w + p
 
 
 def _padded_rows(x: np.ndarray, p: int, dtype) -> np.ndarray:
-    """Zero-pad (N, C, H, W) by ``p`` into channels-last rows, one shared
-    border between rows and between samples.
-
-    The (p + Wq*(p + N*Hq), C) result holds p zero rows, then p zero image
-    rows, then per sample H image rows of (W pixels, p zeros) followed by p
-    zero image rows.  Pixel (y, x) of sample b is row
-    p + p*Wq + (b*Hq + y)*Wq + x.  A row's trailing zeros are the next
-    row's left border and a sample's trailing zero rows the next sample's
-    top border.  (Hq, Wq) come from ``_strides``.
+    """Zero-pad (N, C, H, W) by ``p`` into (p + Wq*(p + N*Hq), C) channels-last
+    rows.  Row p + p*Wq + (b*Hq + y)*Wq + x holds pixel (y, x) of sample b
+    and all other rows are zero: the p zeros that end an image row are the
+    next row's left border, and p zero image rows between samples serve both.
     """
     n, c, h, w = x.shape
     hq, wq = _strides(h, w, p)
